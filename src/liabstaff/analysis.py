@@ -8,11 +8,11 @@ emit plot-ready tables only.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .params import Mode, ModelParams, validate
 from .physician import physician_utility, threshold
 from .platform_opt import optimize_platform, optimize_regime, optimize_social
@@ -52,8 +52,7 @@ class SweepRow:
     winner: Mode
 
 
-def _solve_cell(args: tuple[ModelParams, float, float]) -> RegimeCell:
-    p, lam, big_l = args
+def _solve_cell(p: ModelParams, lam: float, big_l: float) -> RegimeCell:
     try:
         sol = optimize_platform(validate(dataclasses.replace(p, lam=lam, big_l=big_l)))
         win = sol.winner
@@ -71,14 +70,12 @@ def regime_map(
     """Optimal-mode map over the (lambda, L) plane, row-major in the grids.
 
     Per-cell optimizer errors are recorded in the cell; the sweep continues.
+    ``jobs`` is accepted for compatibility; ignored: a cell solves in a few
+    staffing levels per regime, less than handing it to a worker process.
     """
     if not lambda_grid or not l_grid:
         raise ValueError("grids must be non-empty")
-    tasks = [(p, lam, big_l) for lam in lambda_grid for big_l in l_grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_solve_cell, tasks, chunksize=16))
-    return [_solve_cell(t) for t in tasks]
+    return [_solve_cell(p, lam, big_l) for lam in lambda_grid for big_l in l_grid]
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ def monotone_violations(points: list[BoundaryPoint]) -> list[tuple[BoundaryPoint
 def sensitivity_sweep(p: ModelParams, name: str, grid: list[float]) -> list[SweepRow]:
     """Re-optimize the platform at each value of one swept parameter."""
     if name not in SWEEPABLE:
-        raise ValueError(
+        raise ParameterError(
             f"unknown sweep parameter {name!r}; valid: {', '.join(sorted(SWEEPABLE))}"
         )
     field = SWEEPABLE[name]

@@ -245,7 +245,7 @@ def _cmd_regime_map(args) -> int:
         grids[name] = values
     lam_grid = grids["lambda"] or [float(v) for v in np.linspace(25, 90, 25)]
     l_grid = grids["big_l"] or [float(v) for v in np.linspace(800, 5000, 25)]
-    cells = regime_map(p, lam_grid, l_grid, jobs=args.jobs)
+    cells = regime_map(p, lam_grid, l_grid)
     header = ["lambda", "big_l", "winner", "theta_star", "n_star", "total", "error"]
     rows = [
         (c.lam, c.big_l, c.winner, c.theta_star, c.n_star, c.total, c.error or "")
@@ -433,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--boundary-out", help="also bisect and write the regime boundary CSV")
     sp.add_argument("--tol", type=float, default=1.0, help="boundary bisection tolerance in dollars")
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="parallel workers for the sweep (default: machine parallelism)")
+    sp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
     sp.set_defaults(func=_cmd_regime_map)
 
     sp = sub.add_parser("sweep", help="one-parameter sensitivity sweep")

@@ -2,7 +2,7 @@
 
 
 class ParameterError(ValueError):
-    """A model parameter violates its required ordering or sign."""
+    """A model or simulation parameter is unknown, out of range or out of order."""
 
 
 class UnstableError(ValueError):

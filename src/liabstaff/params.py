@@ -7,6 +7,7 @@ display is a presentation-layer division by 1000.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -61,11 +62,16 @@ BASELINE = ModelParams()
 
 
 def validate(p: ModelParams) -> ModelParams:
-    """Check every parameter ordering; return ``p`` unchanged if all hold.
+    """Check every parameter is finite and every ordering holds; return ``p``
+    unchanged if all do.
 
-    Raises ParameterError listing one line per violated ordering.
+    Raises ParameterError listing one line per violation.
     """
-    problems = []
+    problems = [
+        f"{'lambda' if f.name == 'lam' else f.name} must be finite"
+        for f in dataclasses.fields(p)
+        if not math.isfinite(getattr(p, f.name))
+    ]
     if not p.lam > 0:
         problems.append("lambda must be positive")
     if not p.mu_i > 0:

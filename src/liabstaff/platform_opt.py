@@ -5,6 +5,9 @@ risk borne by the platform, congestion, staffing, and the quadratic
 compliance cost of shifting liability. For fixed (N, mode) the cost is
 strictly convex in theta, so the per-regime optimum is a clamp of the
 unconstrained stationary point followed by a finite staffing enumeration.
+
+Scenario S0 (forced mode and share) and each mode of the social optimum S4
+(theta = 0) are instances of the one staffing search, ``optimize_regime``.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, UnstableError
 from .params import Mode, ModelParams, mode_attrs
 from .physician import threshold
-from .queueing import min_staffing, queue_metrics
+from .queueing import _stable_levels, min_staffing, queue_metrics
 
 # Lowest liability share that still induces independent mode; the regime-I
 # interval is open at the threshold, so the search closes it at this offset.
 REGIME_I_EPS = 1e-6
 
-# Safety valve: a staffing enumeration should terminate long before this.
+# Safety guard: the stop rule of optimize_regime ends a search within a few
+# levels of the offered load, so only an offered load near this cap reaches it.
 MAX_STAFFING = 10_000
 
 
@@ -61,19 +65,13 @@ class PlatformSolution:
     winner: RegimeResult
 
 
-def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdown:
-    """Evaluate the four cost components at a fixed policy."""
+def _cost(theta: float, n: int, err_prob: float, t_total: float, p: ModelParams) -> CostBreakdown:
+    """The four cost components at share theta, N servers, the mode's error
+    probability and the expected system time t_total."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    mu, err_prob, _ = mode_attrs(m, p)
-    if p.lam >= n * mu:
-        raise UnstableError(
-            f"{n} servers cannot cover arrival rate {p.lam:g} at service rate "
-            f"{mu:g}; need at least {min_staffing(p.lam, mu)}"
-        )
-    metrics = queue_metrics(p.lam, mu, n)
     risk = p.lam * (1.0 - theta) * p.big_l * err_prob
-    congestion = p.lam * p.c_w * metrics.t_total
+    congestion = p.lam * p.c_w * t_total
     staffing = p.c_n * n
     compliance = p.kappa * theta * theta * n
     return CostBreakdown(
@@ -83,6 +81,17 @@ def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdo
         compliance=compliance,
         total=risk + congestion + staffing + compliance,
     )
+
+
+def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdown:
+    """Evaluate the four cost components at a fixed policy."""
+    mu, err_prob, _ = mode_attrs(m, p)
+    if p.lam >= n * mu:
+        raise UnstableError(
+            f"{n} servers cannot cover arrival rate {p.lam:g} at service rate "
+            f"{mu:g}; need at least {min_staffing(p.lam, mu)}"
+        )
+    return _cost(theta, n, err_prob, queue_metrics(p.lam, mu, n).t_total, p)
 
 
 def theta_unconstrained(m: Mode, n: int, p: ModelParams) -> float:
@@ -106,38 +115,42 @@ def optimize_regime(
 ) -> RegimeResult:
     """Minimize cost over stable staffing levels within one regime.
 
-    Enumerates N upward from minimum stable staffing; stops once the staffing
-    component alone exceeds the incumbent total, a valid lower bound since
-    every component is nonnegative.
+    Enumerates N upward from the smallest level erlang_c accepts, with theta
+    at theta_optimal(N), and stops after level N once
+
+        f(N+1) + lam c_w / mu + c_n (N+1) > incumbent total,
+
+    where f(N) = lam (1 - theta) L P + kappa theta^2 N at theta_optimal(N),
+    the minimum of risk plus compliance over [theta_lo, theta_hi]. This
+    bounds the total of every level above N: f is nondecreasing in N, being
+    a minimum of functions nondecreasing in N; congestion
+    lam c_w (W_q + 1/mu) is never below lam c_w / mu; and staffing grows with
+    N. The bound is the cost of level N+1 with no queue wait. Ties go to the
+    smaller N.
     """
     if theta_lo > theta_hi:
         return RegimeResult(regime, False, None, None, None, None)
-    mu, _, _ = mode_attrs(regime, p)
-    n_lo = min_staffing(p.lam, mu)
-    best_policy = None
-    best_cost = None
-    best_unc = None
-    n = n_lo
-    while True:
-        if n > MAX_STAFFING:
-            raise InfeasibleError(
-                f"staffing enumeration exceeded {MAX_STAFFING} servers"
-            )
+    mu, err_prob, _ = mode_attrs(regime, p)
+    n_lo = best_policy = best_cost = None
+    for n, metrics in _stable_levels(p.lam, mu, MAX_STAFFING):
+        if n_lo is None:
+            n_lo = n
         theta = theta_optimal(regime, n, theta_lo, theta_hi, p)
-        cost = cost_breakdown(theta, n, regime, p)
+        cost = _cost(theta, n, err_prob, metrics.t_total, p)
         if best_cost is None or cost.total < best_cost.total:
             best_policy = Policy(theta=theta, n=n, mode=regime)
             best_cost = cost
-            best_unc = theta_unconstrained(regime, n, p)
-        if p.c_n * (n + 1) > best_cost.total:
+        theta_next = theta_optimal(regime, n + 1, theta_lo, theta_hi, p)
+        if _cost(theta_next, n + 1, err_prob, 1.0 / mu, p).total > best_cost.total:
             break
-        n += 1
+    else:
+        raise InfeasibleError(f"staffing enumeration exceeded {MAX_STAFFING} servers")
     return RegimeResult(
         regime=regime,
         feasible=True,
         best=best_policy,
         cost=best_cost,
-        theta_unconstrained=best_unc,
+        theta_unconstrained=theta_unconstrained(regime, best_policy.n, p),
         n_searched=(n_lo, n),
     )
 
@@ -176,46 +189,19 @@ def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:
     """Social objective: full internalized loss plus congestion and staffing.
 
     The liability split is moot socially, so risk uses the full loss and the
-    compliance friction drops out.
+    compliance friction drops out: this is the platform cost at theta = 0.
     """
-    mu, err_prob, _ = mode_attrs(m, p)
-    if p.lam >= n * mu:
-        raise UnstableError(
-            f"{n} servers cannot cover arrival rate {p.lam:g} at service rate "
-            f"{mu:g}; need at least {min_staffing(p.lam, mu)}"
-        )
-    metrics = queue_metrics(p.lam, mu, n)
-    risk = p.lam * p.big_l * err_prob
-    congestion = p.lam * p.c_w * metrics.t_total
-    staffing = p.c_n * n
-    return CostBreakdown(
-        risk=risk,
-        congestion=congestion,
-        staffing=staffing,
-        compliance=0.0,
-        total=risk + congestion + staffing,
-    )
+    return cost_breakdown(0.0, n, m, p)
 
 
 def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     """Minimize the social objective over mode and stable staffing.
 
-    The reported theta is 0: it does not enter the social objective. Ties
-    break toward Mode A, then toward smaller N.
+    Each mode is solved by optimize_regime on the share interval [0, 0], where
+    the platform cost is the social cost; the reported theta is therefore 0.
+    Ties break toward Mode A, then toward smaller N.
     """
-    best: tuple[Policy, CostBreakdown] | None = None
-    for m in (Mode.A, Mode.I):
-        mu, _, _ = mode_attrs(m, p)
-        n = min_staffing(p.lam, mu)
-        while True:
-            if n > MAX_STAFFING:
-                raise InfeasibleError(
-                    f"staffing enumeration exceeded {MAX_STAFFING} servers"
-                )
-            cost = social_cost(n, m, p)
-            if best is None or cost.total < best[1].total:
-                best = (Policy(theta=0.0, n=n, mode=m), cost)
-            if p.c_n * (n + 1) > best[1].total:
-                break
-            n += 1
-    return best
+    res_a = optimize_regime(Mode.A, 0.0, 0.0, p)
+    res_i = optimize_regime(Mode.I, 0.0, 0.0, p)
+    win = res_a if res_a.cost.total <= res_i.cost.total else res_i
+    return win.best, win.cost

@@ -29,31 +29,52 @@ def min_staffing(lam: float, mu: float) -> int:
     return math.floor(lam / mu) + 1
 
 
-def erlang_c(n: int, offered_load: float) -> float:
-    """Probability an arrival waits in an M/M/N queue with offered load a.
+def _erlang_b_step(b_prev: float, n: int, offered_load: float) -> float:
+    """Erlang B at n servers from its value at n - 1 (B_0 = 1):
+    B_n = a B_{n-1} / (n + a B_{n-1}), which avoids the factorial overflow of
+    the direct sum while being mathematically identical."""
+    return offered_load * b_prev / (n + offered_load * b_prev)
 
-    Uses the Erlang-B recurrence B_k = a B_{k-1} / (k + a B_{k-1}) and the
-    identity C = B_N / (1 - rho (1 - B_N)), which avoids the factorial
-    overflow of the direct sum while being mathematically identical.
-    """
+
+def _delay_prob(n: int, offered_load: float, b: float) -> float:
+    """Erlang C from Erlang B at n servers: C = B_N / (1 - rho (1 - B_N))."""
+    rho = offered_load / n
+    return b / (1.0 - rho * (1.0 - b))
+
+
+def erlang_c(n: int, offered_load: float) -> float:
+    """Probability an arrival waits in an M/M/N queue with offered load a,
+    by the Erlang-B recurrence run from one server up to n."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if offered_load < 0:
         raise ValueError("offered load must be nonnegative")
-    rho = offered_load / n
-    if rho > _RHO_CEILING:
+    if offered_load / n > _RHO_CEILING:
         raise UnstableError(
             f"system unstable: offered load {offered_load:g} with {n} servers"
         )
     b = 1.0
     for k in range(1, n + 1):
-        b = offered_load * b / (k + offered_load * b)
-    return b / (1.0 - rho * (1.0 - b))
+        b = _erlang_b_step(b, k, offered_load)
+    return _delay_prob(n, offered_load, b)
+
+
+def _metrics(lam: float, mu: float, n: int, delay_prob: float) -> QueueMetrics:
+    w_q = delay_prob / (n * mu - lam)
+    return QueueMetrics(rho=lam / mu / n, delay_prob=delay_prob, w_q=w_q, t_total=w_q + 1.0 / mu)
 
 
 def queue_metrics(lam: float, mu: float, n: int) -> QueueMetrics:
     """Full steady-state metrics; raises UnstableError if lam >= n mu."""
+    return _metrics(lam, mu, n, erlang_c(n, lam / mu))
+
+
+def _stable_levels(lam: float, mu: float, n_max: int):
+    """Yield (N, queue_metrics(lam, mu, N)) for every N <= n_max that
+    erlang_c accepts, ascending, advancing Erlang B one step per level."""
     a = lam / mu
-    c = erlang_c(n, a)
-    w_q = c / (n * mu - lam)
-    return QueueMetrics(rho=a / n, delay_prob=c, w_q=w_q, t_total=w_q + 1.0 / mu)
+    b = 1.0
+    for n in range(1, n_max + 1):
+        b = _erlang_b_step(b, n, a)
+        if a / n <= _RHO_CEILING:
+            yield n, _metrics(lam, mu, n, _delay_prob(n, a, b))

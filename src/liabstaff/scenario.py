@@ -5,6 +5,9 @@ S1  flexible contracting: free (theta, N) with endogenous mode response
 S2  minimum platform liability: theta <= 1 - alpha
 S3  minimum physician liability: theta >= theta_floor
 S4  social welfare benchmark: social objective, mode and N free
+
+S0 and S4 are instances of the staffing search optimize_regime: S0 on the
+share interval [0.5, 0.5] in Mode I, S4 on [0, 0] in each mode.
 """
 
 from __future__ import annotations
@@ -14,13 +17,11 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, UnstableError
 from .params import Mode, ModelParams
 from .platform_opt import (
-    MAX_STAFFING,
     CostBreakdown,
     Policy,
-    cost_breakdown,
-    min_staffing,
-    mode_attrs,
+    cost_breakdown,  # noqa: F401  re-exported: prices any scenario policy
     optimize_platform,
+    optimize_regime,
     optimize_social,
 )
 
@@ -80,24 +81,6 @@ def make_scenario(
     raise ValueError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
 
 
-def _optimize_forced_mode(theta: float, m: Mode, p: ModelParams) -> tuple[Policy, CostBreakdown]:
-    """Staffing-only optimization at a fixed share and administratively
-    forced mode (best response suspended)."""
-    mu, _, _ = mode_attrs(m, p)
-    n = min_staffing(p.lam, mu)
-    best: tuple[Policy, CostBreakdown] | None = None
-    while True:
-        if n > MAX_STAFFING:
-            raise InfeasibleError(f"staffing enumeration exceeded {MAX_STAFFING} servers")
-        cost = cost_breakdown(theta, n, m, p)
-        if best is None or cost.total < best[1].total:
-            best = (Policy(theta=theta, n=n, mode=m), cost)
-        if p.c_n * (n + 1) > best[1].total:
-            break
-        n += 1
-    return best
-
-
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem."""
     try:
@@ -106,8 +89,8 @@ def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
             return ScenarioResult(spec.id, True, policy, cost, regime=None)
         if spec.mode_forced is not None:
             theta = spec.theta_fixed if spec.theta_fixed is not None else spec.theta_lo
-            policy, cost = _optimize_forced_mode(theta, spec.mode_forced, p)
-            return ScenarioResult(spec.id, True, policy, cost, regime=None)
+            res = optimize_regime(spec.mode_forced, theta, theta, p)
+            return ScenarioResult(spec.id, True, res.best, res.cost, regime=None)
         sol = optimize_platform(p, spec.theta_lo, spec.theta_hi)
         win = sol.winner
         return ScenarioResult(spec.id, True, win.best, win.cost, regime=win.regime)

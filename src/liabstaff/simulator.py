@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableError
+from .errors import ParameterError, UnstableError
 from .params import ModelParams, mode_attrs
 from .platform_opt import CostBreakdown, Policy
 
@@ -55,17 +55,17 @@ def simulate(cfg: SimConfig) -> SimResult:
     """Run one replication: FIFO single queue, n exponential servers."""
     warmup = _resolve_warmup(cfg)
     if not 0 <= warmup < cfg.customers:
-        raise ValueError("need customers > warmup >= 0")
+        raise ParameterError("need customers > warmup >= 0")
     if cfg.lam >= cfg.n * cfg.mu:
         raise UnstableError(
             f"{cfg.n} servers cannot cover arrival rate {cfg.lam:g} "
             f"at service rate {cfg.mu:g}"
         )
     if not 0.0 <= cfg.error_prob <= 1.0:
-        raise ValueError("error_prob must lie in [0, 1]")
+        raise ParameterError("error_prob must lie in [0, 1]")
     counted = cfg.customers - warmup
     if counted < N_BATCHES:
-        raise ValueError(
+        raise ParameterError(
             f"need at least {N_BATCHES} counted customers for batch means, got {counted}"
         )
 

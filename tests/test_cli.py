@@ -11,6 +11,12 @@ def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
+def assert_usage_error(cp: subprocess.CompletedProcess) -> None:
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("error: ")
+    assert "Traceback" not in cp.stderr
+
+
 def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0
@@ -63,6 +69,8 @@ def test_solve_bad_config_reports_line(tmp_path: Path):
     cp = run_cli("solve", "--config", str(cfg))
     assert cp.returncode == 2
     assert "line 2" in cp.stderr
+    cfg.write_text("lambda = inf\n")
+    assert_usage_error(run_cli("solve", "--config", str(cfg)))
 
 
 def test_solve_infeasible_interval_exits_1(tmp_path: Path):
@@ -115,8 +123,8 @@ def test_sweep_row_count(tmp_path: Path):
 
 
 def test_sweep_bad_grid_exits_2():
-    cp = run_cli("sweep", "--grid", "q=nope")
-    assert cp.returncode == 2
+    for grid in ("q=nope", "foo=1:2:3"):
+        assert_usage_error(run_cli("sweep", "--grid", grid))
 
 
 def test_regime_map_and_boundary(tmp_path: Path):
@@ -217,6 +225,7 @@ def test_validate_command():
     cp = run_cli("validate", "--customers", "40000", "--seed", "3")
     assert cp.returncode == 0
     assert cp.stdout.count("PASS") == 2
+    assert_usage_error(run_cli("validate", "--customers", "10"))
 
 
 def test_thousands_flag():

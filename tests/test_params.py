@@ -103,3 +103,5 @@ def test_config_bad_number_names_line():
 def test_config_invalid_ordering_rejected():
     with pytest.raises(ParameterError, match="q must be below h"):
         parse_config("q = 0.97")
+    with pytest.raises(ParameterError, match="lambda must be finite"):
+        parse_config("lambda = inf")

@@ -9,9 +9,11 @@ from liabstaff import (
     Mode,
     UnstableError,
     cost_breakdown,
+    make_scenario,
     optimize_platform,
     optimize_regime,
     optimize_social,
+    run_scenario,
     social_cost,
     theta_optimal,
     theta_unconstrained,
@@ -172,6 +174,7 @@ def test_optimize_platform_fully_infeasible():
 
 def test_optimize_platform_matches_brute_force():
     rng = np.random.default_rng(8)
+    s0 = make_scenario("S0")
     for p in [BASELINE] + [random_valid_params(rng) for _ in range(20)]:
         sol = optimize_platform(p)
         bf_mode, bf_theta, bf_n, bf_total = brute_force_platform(p)
@@ -179,6 +182,46 @@ def test_optimize_platform_matches_brute_force():
         assert sol.winner.best.n == bf_n
         assert abs(sol.winner.best.theta - bf_theta) <= 1.0 / 2000
         assert sol.winner.cost.total <= bf_total + 1e-9
+        # the same staffing search at a forced mode and share, and at theta = 0
+        res = run_scenario(s0, p)
+        _, bf_n, bf_total = brute_force_regime(Mode.I, 0.5, 0.5, p)
+        assert res.policy.n == bf_n
+        assert res.cost.total == pytest.approx(bf_total, rel=1e-12)
+        pol, cb = optimize_social(p)
+        bf_mode, bf_n, bf_total = brute_force_social(p)
+        assert (pol.mode, pol.n) == (bf_mode, bf_n)
+        assert cb.total == pytest.approx(bf_total, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "changes, mode, n, total",
+    [
+        # a stop rule on the staffing cost alone, c_n (N+1) > incumbent, runs
+        # past 10000 servers here,
+        (dict(lam=300.0, big_l=20000.0, q=0.8, c_n=100.0), Mode.I, 52, 145323.55),
+        # to N = 7887 in regime A here,
+        (dict(lam=200.0, big_l=20000.0, q=0.8, c_n=100.0), Mode.I, 35, 98089.54),
+        # and to N = 4582 (A) and 6302 (I) here
+        (dict(lam=5000.0), Mode.A, 425, 916571.97),
+    ],
+)
+def test_stop_rule_ends_search_near_offered_load(changes, mode, n, total):
+    sol = optimize_platform(dataclasses.replace(BASELINE, **changes))
+    assert sol.winner.regime is mode
+    assert sol.winner.best.n == n
+    assert sol.winner.cost.total == pytest.approx(total, abs=0.01)
+    for res in (sol.regime_a, sol.regime_i):
+        lo, hi = res.n_searched
+        assert hi - lo + 1 <= 20
+
+
+def test_search_starts_at_first_level_erlang_c_accepts():
+    # offered load 4.999999999995 in mode A: N = 5 is stable but above the
+    # utilization ceiling, so the search starts at N = 6 instead of failing
+    p = dataclasses.replace(BASELINE, lam=59.99999999994)
+    sol = optimize_platform(p)
+    assert sol.regime_a.n_searched[0] == 6
+    assert sol.winner.best.n >= 6
 
 
 def test_winner_interior_at_baseline():
