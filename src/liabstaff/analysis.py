@@ -10,12 +10,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 from .params import Mode, ModelParams, validate
 from .physician import physician_utility, threshold
-from .platform_opt import optimize_platform, optimize_regime, optimize_social
+from .platform_opt import REGIME_I_EPS, optimize_platform, optimize_regime, optimize_social
 from .queueing import erlang_c, min_staffing
 
 # Parameters exposed to sensitivity sweeps; "lambda" maps to the lam field.
@@ -27,6 +25,24 @@ SWEEPABLE = {
     "c_w": "c_w",
     "lambda": "lam",
 }
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced floats from lo to hi inclusive, equal bit for bit to
+    numpy.linspace(lo, hi, n): the same operations in the same order."""
+    if n < 0:
+        raise ValueError(f"number of samples, {n}, must be non-negative")
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    if n < 2:
+        return [0.0 * delta + lo] * n
+    step = delta / (n - 1)
+    if step == 0:  # a span below the smallest step: numpy scales by i / (n - 1)
+        points = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
 
 
 @dataclass(frozen=True)
@@ -105,12 +121,12 @@ def regime_boundary(
     """
     points: list[BoundaryPoint] = []
     for lam in lambda_grid:
-        scan_l = np.linspace(l_lo, l_hi, prescan)
+        scan_l = linspace(l_lo, l_hi, prescan)
         winners = [_winner_at(p, lam, big_l) for big_l in scan_l]
         for i in range(prescan - 1):
             if winners[i] is winners[i + 1]:
                 continue
-            lo, hi = float(scan_l[i]), float(scan_l[i + 1])
+            lo, hi = scan_l[i], scan_l[i + 1]
             w_lo = winners[i]
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
@@ -192,48 +208,40 @@ def figure_data(
     npoints = int(opts.get("npoints", 101))
     if which == "fig1":
         rows = []
-        utils = np.linspace(float(opts.get("rho_lo", 0.05)), float(opts.get("rho_hi", 0.99)), npoints)
+        utils = linspace(opts.get("rho_lo", 0.05), opts.get("rho_hi", 0.99), npoints)
         for n in (6, 10, 15):
             for rho in utils:
-                rows.append((n, float(rho), erlang_c(n, rho * n)))
+                rows.append((n, rho, erlang_c(n, rho * n)))
         return ["n", "utilization", "delay_prob"], rows
     if which == "fig2":
-        thetas = np.linspace(0.0, 1.0, npoints)
         rows = [
-            (float(t), physician_utility(Mode.A, float(t), p), physician_utility(Mode.I, float(t), p))
-            for t in thetas
+            (t, physician_utility(Mode.A, t, p), physician_utility(Mode.I, t, p))
+            for t in linspace(0.0, 1.0, npoints)
         ]
         return ["theta", "utility_a", "utility_i"], rows
     if which == "fig3a":
-        l_grid = np.linspace(float(opts.get("l_lo", 800.0)), float(opts.get("l_hi", 5000.0)), npoints)
-        rows = [
-            (float(big_l), threshold(dataclasses.replace(p, big_l=float(big_l))).theta_d)
-            for big_l in l_grid
-        ]
+        l_grid = linspace(opts.get("l_lo", 800.0), opts.get("l_hi", 5000.0), npoints)
+        rows = [(big_l, threshold(dataclasses.replace(p, big_l=big_l)).theta_d) for big_l in l_grid]
         return ["big_l", "theta_d"], rows
     if which == "fig3b":
-        dk_grid = np.linspace(float(opts.get("dk_lo", 20.0)), float(opts.get("dk_hi", 150.0)), npoints)
-        rows = [
-            (float(dk), threshold(dataclasses.replace(p, k_i=p.k_a + float(dk))).theta_d)
-            for dk in dk_grid
-        ]
+        dk_grid = linspace(opts.get("dk_lo", 20.0), opts.get("dk_hi", 150.0), npoints)
+        rows = [(dk, threshold(dataclasses.replace(p, k_i=p.k_a + dk)).theta_d) for dk in dk_grid]
         return ["delta_k", "theta_d"], rows
     if which == "fig4":
         criterion = opts.get("criterion", "cost-optimal")
-        lam_grid = np.linspace(float(opts.get("lam_lo", 25.0)), float(opts.get("lam_hi", 90.0)), int(opts.get("npoints", 14)))
+        lam_grid = linspace(opts.get("lam_lo", 25.0), opts.get("lam_hi", 90.0), int(opts.get("npoints", 14)))
         rows = []
         for lam in lam_grid:
-            pl = validate(dataclasses.replace(p, lam=float(lam)))
+            pl = validate(dataclasses.replace(p, lam=lam))
             if criterion == "min-stable":
                 n_a = min_staffing(pl.lam, pl.mu_a)
                 n_i = min_staffing(pl.lam, pl.mu_i)
             elif criterion == "cost-optimal":
                 theta_d = threshold(pl).theta_d
                 n_a = optimize_regime(Mode.A, 0.0, min(1.0, theta_d), pl).best.n
-                res_i = optimize_regime(Mode.I, min(1.0, theta_d + 1e-6), 1.0, pl)
-                n_i = res_i.best.n if res_i.feasible else min_staffing(pl.lam, pl.mu_i)
+                n_i = optimize_regime(Mode.I, min(1.0, theta_d + REGIME_I_EPS), 1.0, pl).best.n
             else:
                 raise ValueError(f"unknown staffing criterion {criterion!r}")
-            rows.append((float(lam), n_a, n_i))
+            rows.append((lam, n_a, n_i))
         return ["lam", "n_star_a", "n_star_i"], rows
     raise ValueError(f"unknown figure id {which!r}; valid: {', '.join(FIGURE_IDS)}")

@@ -13,12 +13,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     FIGURE_IDS,
     figure_data,
+    linspace,
     monotone_violations,
     regime_boundary,
     regime_map,
@@ -41,6 +40,8 @@ from .scenario import (
 from .simulator import SimConfig, simulate
 
 CONFIG_ENV_VAR = "LIABSTAFF_CONFIG"
+
+DEFAULT_L_GRID = "big_l=800:5000:25"
 
 SCENARIO_CSV_HEADER = [
     "id",
@@ -81,7 +82,7 @@ def _parse_grid(spec: str) -> tuple[str, list[float]]:
         ) from None
     if n < 1:
         raise _UsageError(f"grid {spec!r} needs at least one point")
-    return name.strip(), [float(v) for v in np.linspace(lo, hi, n)]
+    return name.strip(), linspace(lo, hi, n)
 
 
 def _money(value: float, thousands: bool) -> str:
@@ -90,12 +91,12 @@ def _money(value: float, thousands: bool) -> str:
     return f"{value:.6g}"
 
 
-def _emit(args, header, rows, command: str, params: ModelParams, options: dict) -> None:
-    """Write CSV + manifest when --out is given, else print CSV to stdout."""
-    if getattr(args, "out", None):
-        write_csv(args.out, header, rows)
-        write_manifest(args.out, command, args.argv, params, options, __version__)
-        print(f"wrote {args.out}")
+def _emit(out, args, header, rows, command: str, params: ModelParams | None, options: dict) -> None:
+    """Write CSV + manifest to ``out`` when given, else print CSV to stdout."""
+    if out:
+        write_csv(out, header, rows)
+        write_manifest(out, command, args.argv, params, options, __version__)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(render_csv(header, rows))
 
@@ -210,7 +211,7 @@ def _cmd_scenario(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     options = {"scenarios": ids, "alpha": args.alpha, "theta_floor": args.theta_floor}
-    _emit(args, SCENARIO_CSV_HEADER, csv_rows, "scenario", p, options)
+    _emit(args.out, args, SCENARIO_CSV_HEADER, csv_rows, "scenario", p, options)
     _print_scenario_notes(rows, args.thousands)
     return 0
 
@@ -237,14 +238,13 @@ def _print_scenario_notes(rows, thousands: bool) -> None:
 
 def _cmd_regime_map(args) -> int:
     p = _resolve_params(args)
-    grids = {"lambda": None, "big_l": None}
+    grids = dict(_parse_grid(spec) for spec in ("lambda=25:90:25", DEFAULT_L_GRID))
     for spec in args.grid or []:
         name, values = _parse_grid(spec)
         if name not in grids:
             raise _UsageError(f"regime-map grids must be lambda=... or big_l=..., got {name!r}")
         grids[name] = values
-    lam_grid = grids["lambda"] or [float(v) for v in np.linspace(25, 90, 25)]
-    l_grid = grids["big_l"] or [float(v) for v in np.linspace(800, 5000, 25)]
+    lam_grid, l_grid = grids["lambda"], grids["big_l"]
     cells = regime_map(p, lam_grid, l_grid)
     header = ["lambda", "big_l", "winner", "theta_star", "n_star", "total", "error"]
     rows = [
@@ -252,18 +252,17 @@ def _cmd_regime_map(args) -> int:
         for c in cells
     ]
     options = {"lambda_grid": lam_grid, "l_grid": l_grid, "jobs": args.jobs}
-    _emit(args, header, rows, "regime-map", p, options)
+    _emit(args.out, args, header, rows, "regime-map", p, options)
     if args.boundary_out:
         points = regime_boundary(p, lam_grid, min(l_grid), max(l_grid), tol=args.tol)
-        write_csv(args.boundary_out, ["lambda", "l_boundary"], [(pt.lam, pt.l_boundary) for pt in points])
-        write_manifest(args.boundary_out, "regime-map-boundary", args.argv, p, options, __version__)
         for a, b in monotone_violations(points):
             print(
                 f"warning: boundary not nondecreasing between lambda={a.lam:g} "
                 f"(L={a.l_boundary:g}) and lambda={b.lam:g} (L={b.l_boundary:g})",
                 file=sys.stderr,
             )
-        print(f"wrote {args.boundary_out}")
+        rows = [(pt.lam, pt.l_boundary) for pt in points]
+        _emit(args.boundary_out, args, ["lambda", "l_boundary"], rows, "regime-map-boundary", p, options)
     return 0
 
 
@@ -276,29 +275,28 @@ def _cmd_sweep(args) -> int:
         (r.param_name, r.param_value, r.theta_star, r.n_star, r.total, r.winner)
         for r in rows
     ]
-    _emit(args, header, csv_rows, "sweep", p, {"grid": {name: values}})
+    _emit(args.out, args, header, csv_rows, "sweep", p, {"grid": {name: values}})
     return 0
 
 
 def _cmd_welfare(args) -> int:
     p = _resolve_params(args)
-    if args.grid:
-        name, values = _parse_grid(args.grid)
-        if name != "big_l":
-            raise _UsageError(f"welfare sweeps big_l only, got {name!r}")
-    else:
-        values = [float(v) for v in np.linspace(800, 5000, 25)]
+    name, values = _parse_grid(args.grid or DEFAULT_L_GRID)
+    if name != "big_l":
+        raise _UsageError(f"welfare sweeps big_l only, got {name!r}")
     rows = welfare_curve(p, values)
     header = ["big_l", "s1_total", "s4_total", "gap", "gap_pct_of_s4"]
-    _emit(args, header, rows, "welfare", p, {"l_grid": values})
+    _emit(args.out, args, header, rows, "welfare", p, {"l_grid": values})
     return 0
 
 
 def _cmd_figure(args) -> int:
+    if args.npoints < 1:
+        raise _UsageError(f"--npoints must be at least 1, got {args.npoints}")
     p = _resolve_params(args)
     options = {"npoints": args.npoints, "criterion": args.criterion}
     header, rows = figure_data(args.which, p, options)
-    _emit(args, header, rows, "figure", p, {"which": args.which, **options})
+    _emit(args.out, args, header, rows, "figure", p, {"which": args.which, **options})
     return 0
 
 
@@ -344,11 +342,8 @@ def _cmd_simulate(args) -> int:
         result.rng_algorithm,
         args.seed,
     )
-    options = dataclasses.asdict(cfg)
     if args.out:
-        write_csv(args.out, header, [row])
-        write_manifest(args.out, "simulate", args.argv, BASELINE, options, __version__)
-        print(f"wrote {args.out}")
+        _emit(args.out, args, header, [row], "simulate", None, dataclasses.asdict(cfg))
     else:
         print(f"mean_wait = {result.mean_wait:.6g} +- {result.wait_stderr:.2g} h "
               f"(analytic {analytic.w_q:.6g} h)")

@@ -50,15 +50,16 @@ def write_manifest(
     out_path: str | Path,
     command: str,
     argv: list[str],
-    params: ModelParams,
+    params: ModelParams | None,
     options: dict,
     version: str,
 ) -> Path:
-    """Write the sidecar manifest next to ``out_path``."""
+    """Write the sidecar manifest next to ``out_path``; ``params`` is None
+    (written as null) for a command that uses no model parameters."""
     payload = {
         "command": command,
         "argv": argv,
-        "params": dataclasses.asdict(params),
+        "params": None if params is None else dataclasses.asdict(params),
         "options": options,
         "tool_version": version,
         "timestamp": datetime.now(timezone.utc).isoformat(),

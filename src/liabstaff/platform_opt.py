@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, UnstableError
+from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams, mode_attrs
 from .physician import threshold
-from .queueing import _stable_levels, min_staffing, queue_metrics
+from .queueing import _stable_levels, queue_metrics
 
 # Lowest liability share that still induces independent mode; the regime-I
 # interval is open at the threshold, so the search closes it at this offset.
@@ -84,13 +84,9 @@ def _cost(theta: float, n: int, err_prob: float, t_total: float, p: ModelParams)
 
 
 def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdown:
-    """Evaluate the four cost components at a fixed policy."""
+    """Evaluate the four cost components at a fixed policy; raises
+    UnstableError, naming min_staffing, when n is below it."""
     mu, err_prob, _ = mode_attrs(m, p)
-    if p.lam >= n * mu:
-        raise UnstableError(
-            f"{n} servers cannot cover arrival rate {p.lam:g} at service rate "
-            f"{mu:g}; need at least {min_staffing(p.lam, mu)}"
-        )
     return _cost(theta, n, err_prob, queue_metrics(p.lam, mu, n).t_total, p)
 
 
@@ -167,7 +163,7 @@ def optimize_platform(
     [max(theta_lo, theta_d + eps), theta_hi]; ties go to Regime A.
     """
     if not 0.0 <= theta_lo <= theta_hi <= 1.0:
-        raise ValueError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{theta_lo!r}, {theta_hi!r}]")
+        raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{theta_lo!r}, {theta_hi!r}]")
     theta_d = threshold(p).theta_d
     res_a = optimize_regime(Mode.A, theta_lo, min(theta_hi, theta_d), p)
     res_i = optimize_regime(Mode.I, max(theta_lo, theta_d + eps), theta_hi, p)

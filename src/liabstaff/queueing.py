@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnstableError
+from .errors import ParameterError, UnstableError
 
 # Utilization this close to 1 produces waits dominated by rounding noise;
 # treat as unstable rather than returning huge finite values.
@@ -23,10 +23,14 @@ class QueueMetrics:
 
 
 def min_staffing(lam: float, mu: float) -> int:
-    """Smallest N with lam/(N mu) < 1, i.e. floor(lam/mu) + 1."""
-    if lam <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
-    return math.floor(lam / mu) + 1
+    """Smallest N that erlang_c accepts: floor(lam/mu) + 1, or one more when
+    that level's utilization lies above the ceiling _RHO_CEILING, which
+    happens at a near-integer offered load (one more always suffices below
+    an offered load of 1e9)."""
+    if not (0 < lam < math.inf and 0 < mu < math.inf):
+        raise ParameterError("rates must be positive and finite")
+    n = math.floor(lam / mu) + 1
+    return n if lam / mu / n <= _RHO_CEILING else n + 1
 
 
 def _erlang_b_step(b_prev: float, n: int, offered_load: float) -> float:
@@ -47,11 +51,12 @@ def erlang_c(n: int, offered_load: float) -> float:
     by the Erlang-B recurrence run from one server up to n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if offered_load < 0:
-        raise ValueError("offered load must be nonnegative")
+    if not 0 <= offered_load < math.inf:
+        raise ValueError("offered load must be nonnegative and finite")
     if offered_load / n > _RHO_CEILING:
         raise UnstableError(
-            f"system unstable: offered load {offered_load:g} with {n} servers"
+            f"system unstable: offered load {offered_load:g} with {n} servers; "
+            f"need at least {min_staffing(offered_load, 1.0)}"
         )
     b = 1.0
     for k in range(1, n + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, UnstableError
+from .errors import InfeasibleError, ParameterError, UnstableError
 from .params import Mode, ModelParams
 from .platform_opt import (
     CostBreakdown,
@@ -36,16 +36,14 @@ S0_THETA = 0.5
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario's constraint set."""
+    """One scenario's constraint set: the share interval [theta_lo, theta_hi],
+    searched in mode_forced alone when it is set."""
 
     id: str
     theta_lo: float = 0.0
     theta_hi: float = 1.0
-    theta_fixed: float | None = None
     mode_forced: Mode | None = None
     objective: str = "platform"  # "platform" or "social"
-    alpha: float | None = None
-    theta_floor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,17 @@ def make_scenario(
 ) -> ScenarioSpec:
     """Build the spec for one of S0..S4."""
     if scenario_id == "S0":
-        return ScenarioSpec(id="S0", theta_fixed=S0_THETA, mode_forced=Mode.I)
+        return ScenarioSpec(id="S0", theta_lo=S0_THETA, theta_hi=S0_THETA, mode_forced=Mode.I)
     if scenario_id == "S1":
         return ScenarioSpec(id="S1")
     if scenario_id == "S2":
         if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        return ScenarioSpec(id="S2", theta_hi=1.0 - alpha, alpha=alpha)
+            raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+        return ScenarioSpec(id="S2", theta_hi=1.0 - alpha)
     if scenario_id == "S3":
         if not 0.0 < theta_floor <= 1.0:
-            raise ValueError(f"theta_floor must lie in (0, 1], got {theta_floor!r}")
-        return ScenarioSpec(id="S3", theta_lo=theta_floor, theta_floor=theta_floor)
+            raise ParameterError(f"theta_floor must lie in (0, 1], got {theta_floor!r}")
+        return ScenarioSpec(id="S3", theta_lo=theta_floor)
     if scenario_id == "S4":
         return ScenarioSpec(id="S4", objective="social")
     raise ValueError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
@@ -88,8 +86,9 @@ def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
             policy, cost = optimize_social(p)
             return ScenarioResult(spec.id, True, policy, cost, regime=None)
         if spec.mode_forced is not None:
-            theta = spec.theta_fixed if spec.theta_fixed is not None else spec.theta_lo
-            res = optimize_regime(spec.mode_forced, theta, theta, p)
+            res = optimize_regime(spec.mode_forced, spec.theta_lo, spec.theta_hi, p)
+            if not res.feasible:
+                raise InfeasibleError(f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]")
             return ScenarioResult(spec.id, True, res.best, res.cost, regime=None)
         sol = optimize_platform(p, spec.theta_lo, spec.theta_hi)
         win = sol.winner

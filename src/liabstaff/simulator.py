@@ -3,6 +3,8 @@
 RNG: numpy PCG64 seeded through SeedSequence; arrivals, services, and error
 draws use independent spawned streams, so a (config, seed) pair is
 bit-reproducible and streams stay decoupled under any parameter change.
+numpy is imported inside the functions that simulate, so that importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -10,11 +12,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError, UnstableError
 from .params import ModelParams, mode_attrs
-from .platform_opt import CostBreakdown, Policy
+from .platform_opt import CostBreakdown, Policy, _cost
+from .queueing import min_staffing
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 N_BATCHES = 20
@@ -52,14 +53,17 @@ def _resolve_warmup(cfg: SimConfig) -> int:
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """Run one replication: FIFO single queue, n exponential servers."""
+    """Run one replication: FIFO single queue, n >= min_staffing(lam, mu) servers."""
+    import numpy as np
+
     warmup = _resolve_warmup(cfg)
     if not 0 <= warmup < cfg.customers:
         raise ParameterError("need customers > warmup >= 0")
-    if cfg.lam >= cfg.n * cfg.mu:
+    n_min = min_staffing(cfg.lam, cfg.mu)
+    if cfg.n < n_min:
         raise UnstableError(
             f"{cfg.n} servers cannot cover arrival rate {cfg.lam:g} "
-            f"at service rate {cfg.mu:g}"
+            f"at service rate {cfg.mu:g}; need at least {n_min}"
         )
     if not 0.0 <= cfg.error_prob <= 1.0:
         raise ParameterError("error_prob must lie in [0, 1]")
@@ -140,7 +144,10 @@ class EmpiricalCost:
 def simulate_policy(
     pol: Policy, p: ModelParams, customers: int, seed: int, warmup: int | None = None
 ) -> EmpiricalCost:
-    """Estimate the cost components of a policy by simulation."""
+    """Estimate the cost components of a policy by simulation: the platform
+    cost of platform_opt priced at the simulated error rate and system time."""
+    import numpy as np
+
     mu, err_prob, _ = mode_attrs(pol.mode, p)
     sim = simulate(
         SimConfig(
@@ -153,22 +160,10 @@ def simulate_policy(
             error_prob=err_prob,
         )
     )
-    risk_scale = p.lam * (1.0 - pol.theta) * p.big_l
-    cong_scale = p.lam * p.c_w
-    risk = risk_scale * sim.error_rate
-    congestion = cong_scale * sim.mean_system_time
-    staffing = p.c_n * pol.n
-    compliance = p.kappa * pol.theta * pol.theta * pol.n
-    risk_se = risk_scale * sim.error_rate_stderr
-    cong_se = cong_scale * sim.system_time_stderr
+    risk_se = p.lam * (1.0 - pol.theta) * p.big_l * sim.error_rate_stderr
+    cong_se = p.lam * p.c_w * sim.system_time_stderr
     return EmpiricalCost(
-        breakdown=CostBreakdown(
-            risk=risk,
-            congestion=congestion,
-            staffing=staffing,
-            compliance=compliance,
-            total=risk + congestion + staffing + compliance,
-        ),
+        breakdown=_cost(pol.theta, pol.n, sim.error_rate, sim.mean_system_time, p),
         risk_stderr=risk_se,
         congestion_stderr=cong_se,
         total_stderr=float(np.hypot(risk_se, cong_se)),

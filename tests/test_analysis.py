@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liabstaff import (
     BASELINE,
@@ -16,6 +18,7 @@ from liabstaff import (
     validate,
     welfare_curve,
 )
+from liabstaff.analysis import linspace
 
 
 def cell_at(cells, lam, big_l):
@@ -172,6 +175,22 @@ def test_fig4_staffing_criteria():
     header, rows = figure_data("fig4", BASELINE, {**opts, "criterion": "cost-optimal"})
     by_lam = {r[0]: r for r in rows}
     assert by_lam[50.0][1] == 5
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 60),
+)
+def test_linspace_equals_numpy_bit_for_bit(lo, hi, n):
+    with np.errstate(all="ignore"):  # spans that overflow to inf
+        expected = [float(v) for v in np.linspace(lo, hi, n)]
+    assert [v.hex() for v in linspace(lo, hi, n)] == [v.hex() for v in expected]
+
+
+def test_linspace_rejects_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        linspace(0.0, 1.0, -1)
 
 
 def test_unknown_figure_rejected():

@@ -25,6 +25,12 @@ def test_help():
         assert command in cp.stdout
 
 
+def test_import_leaves_numpy_unloaded():
+    # only the simulator needs numpy, and it imports it when it runs
+    code = "import liabstaff.cli, sys; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_unknown_command_exits_2():
     cp = run_cli("frobnicate")
     assert cp.returncode == 2
@@ -83,6 +89,7 @@ def test_solve_infeasible_interval_exits_1(tmp_path: Path):
     cp = run_cli("solve", "--theta-lo", "0.7", "--theta-hi", "0.7")
     assert cp.returncode == 0  # regime I covers it at baseline
     assert "winner: Regime I" in cp.stdout
+    assert_usage_error(run_cli("solve", "--theta-lo", "2"))
 
 
 def test_threshold_command():
@@ -113,6 +120,8 @@ def test_scenario_stdout_default():
     cp = run_cli("scenario", "--scenarios", "S1")
     assert cp.returncode == 0
     assert cp.stdout.splitlines()[0].startswith("id,mode")
+    assert_usage_error(run_cli("scenario", "--alpha", "2"))
+    assert_usage_error(run_cli("scenario", "--theta-floor", "0"))
 
 
 def test_sweep_row_count(tmp_path: Path):
@@ -159,6 +168,8 @@ def test_figure_command(tmp_path: Path):
     cp = run_cli("figure", "--which", "fig2", "--npoints", "11", "--out", str(out))
     assert cp.returncode == 0
     assert len(out.read_text().splitlines()) == 12
+    for npoints in ("-1", "0"):
+        assert_usage_error(run_cli("figure", "--which", "fig2", "--npoints", npoints))
 
 
 def test_simulate_csv_and_determinism(tmp_path: Path):
@@ -169,6 +180,9 @@ def test_simulate_csv_and_determinism(tmp_path: Path):
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+    manifest = json.loads(Path(str(a) + ".manifest.json").read_text())
+    assert manifest["command"] == "simulate"
+    assert manifest["params"] is None  # simulate uses no model parameters
 
 
 def test_simulate_unstable_exits_1():

@@ -10,6 +10,7 @@ from liabstaff import (
     UnstableError,
     cost_breakdown,
     make_scenario,
+    min_staffing,
     optimize_platform,
     optimize_regime,
     optimize_social,
@@ -62,6 +63,13 @@ def test_cost_breakdown_components_sum_and_nonnegative():
 def test_cost_breakdown_unstable_names_min_staffing():
     with pytest.raises(UnstableError, match="at least 9"):
         cost_breakdown(0.5, 8, Mode.I, BASELINE)
+    # offered load 4.999999999995 in mode A: N = 5 is above the utilization
+    # ceiling, so the level named is the first one erlang_c accepts
+    p = dataclasses.replace(BASELINE, lam=59.99999999994)
+    assert min_staffing(p.lam, p.mu_a) == 6
+    with pytest.raises(UnstableError, match="at least 6"):
+        cost_breakdown(0.4, 5, Mode.A, p)
+    assert cost_breakdown(0.4, 6, Mode.A, p).total > 0
 
 
 def test_theta_unconstrained_examples():

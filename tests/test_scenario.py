@@ -6,6 +6,7 @@ import pytest
 from liabstaff import (
     BASELINE,
     Mode,
+    ScenarioSpec,
     compare_scenarios,
     make_scenario,
     run_scenario,
@@ -41,6 +42,12 @@ def test_s0_forces_independent_mode_despite_best_response():
     assert res.feasible
     assert res.policy.mode is Mode.I
     assert res.policy.theta == 0.5
+    # a forced mode is searched on the spec's share interval
+    wide = run_scenario(ScenarioSpec("X", 0.2, 0.7, mode_forced=Mode.I), BASELINE)
+    assert wide.policy.mode is Mode.I and 0.2 <= wide.policy.theta <= 0.7
+    assert wide.cost.total <= res.cost.total
+    empty = run_scenario(ScenarioSpec("X", 0.7, 0.2, mode_forced=Mode.I), BASELINE)
+    assert not empty.feasible and "empty theta interval" in empty.reason
 
 
 def test_s3_high_floor_lands_in_regime_i():

@@ -63,6 +63,9 @@ def test_error_rate_tracks_bernoulli_parameter():
 def test_unstable_config_rejected():
     with pytest.raises(UnstableError):
         simulate(SimConfig(lam=50, mu=6, n=8, customers=1000, seed=0))
+    # stable, but above the utilization ceiling that erlang_c enforces
+    with pytest.raises(UnstableError, match="at least 6"):
+        simulate(SimConfig(lam=59.99999999994, mu=12, n=5, customers=1000, seed=0))
 
 
 def test_too_few_customers_for_batches_rejected():
