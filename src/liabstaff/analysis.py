@@ -8,6 +8,7 @@ emit plot-ready tables only.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -117,8 +118,11 @@ def regime_boundary(
 
     A pre-scan detects multiple crossings; every detected crossing is emitted
     rather than assuming the single-crossing shape. Columns whose endpoints
-    share a winner contribute no points.
+    share a winner contribute no points. Bisection also stops once the
+    bracket is two adjacent floats, so a tol below their spacing still ends.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
     points: list[BoundaryPoint] = []
     for lam in lambda_grid:
         scan_l = linspace(l_lo, l_hi, prescan)
@@ -130,6 +134,8 @@ def regime_boundary(
             w_lo = winners[i]
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
                 if _winner_at(p, lam, mid) is w_lo:
                     lo = mid
                 else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -168,6 +169,8 @@ def _cmd_threshold(args) -> int:
 def _cmd_scenario(args) -> int:
     p = _resolve_params(args)
     ids = [s.strip().upper() for s in args.scenarios.split(",") if s.strip()]
+    if not ids:
+        raise _UsageError(f"--scenarios names no scenario; valid: {', '.join(SCENARIO_IDS)}")
     for sid in ids:
         if sid not in SCENARIO_IDS:
             raise _UsageError(f"unknown scenario {sid!r}; valid: {', '.join(SCENARIO_IDS)}")
@@ -475,10 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first ``main`` call and reused:
+    each parse_args call fills a fresh namespace and copies a list before
+    appending to it, so no call sees the arguments of another."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = argv
     try:
         return args.func(args)

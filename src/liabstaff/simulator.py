@@ -3,8 +3,13 @@
 RNG: numpy PCG64 seeded through SeedSequence; arrivals, services, and error
 draws use independent spawned streams, so a (config, seed) pair is
 bit-reproducible and streams stay decoupled under any parameter change.
-numpy is imported inside the functions that simulate, so that importing
-the package does not load it.
+numpy (and array) are imported inside the functions that simulate, so that
+importing the package does not load them.
+
+The FIFO loop reads arrivals and services as Python floats through
+memoryviews of the numpy arrays and collects waits in an array("d"): the
+same heap minima and the same float operations as a loop that indexes the
+numpy arrays one element at a time, so the waits are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ def _resolve_warmup(cfg: SimConfig) -> int:
 
 def simulate(cfg: SimConfig) -> SimResult:
     """Run one replication: FIFO single queue, n >= min_staffing(lam, mu) servers."""
+    from array import array
+
     import numpy as np
 
     warmup = _resolve_warmup(cfg)
@@ -82,15 +89,17 @@ def simulate(cfg: SimConfig) -> SimResult:
     services = rng_services.exponential(1.0 / cfg.mu, cfg.customers)
     errors = rng_errors.random(cfg.customers) < cfg.error_prob
 
-    waits = np.empty(cfg.customers)
-    free_at = [0.0] * cfg.n  # next-available times, min-heap
-    heapq.heapify(free_at)
-    for i in range(cfg.customers):
-        t = arrivals[i]
-        avail = heapq.heappop(free_at)
+    # Multi-server FIFO recursion (Kiefer & Wolfowitz 1955): each customer
+    # takes the server that frees first. free_at is a min-heap of
+    # next-available times; all-zero, it is already a heap.
+    wait_list = array("d")
+    free_at = [0.0] * cfg.n
+    for t, service in zip(memoryview(arrivals), memoryview(services)):
+        avail = free_at[0]
         start = t if t > avail else avail
-        waits[i] = start - t
-        heapq.heappush(free_at, start + services[i])
+        wait_list.append(start - t)
+        heapq.heapreplace(free_at, start + service)
+    waits = np.frombuffer(wait_list)
 
     # Trim to an exact multiple of the batch count, dropping the tail.
     per_batch = counted // N_BATCHES

@@ -1,18 +1,21 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's solution paths: the delay probability
-is summed term by term from the factorial form, and the optimizers are
-replaced by exhaustive grids.
+is summed term by term from the factorial form, the optimizers are
+replaced by exhaustive grids, and the simulator's FIFO loop is replayed
+with numpy indexing and a heap pop and push per customer.
 """
 
 import dataclasses
+import heapq
 import math
 
 import numpy as np
 
-from liabstaff import BASELINE, Mode, ModelParams, mode_attrs, validate
+from liabstaff import BASELINE, Mode, ModelParams, SimConfig, SimResult, mode_attrs, validate
 from liabstaff.physician import threshold
 from liabstaff.queueing import min_staffing
+from liabstaff.simulator import N_BATCHES
 
 
 def erlang_c_direct(n: int, a: float) -> float:
@@ -138,3 +141,45 @@ def random_valid_params(rng: np.random.Generator) -> ModelParams:
             k_i=k_a + rng.uniform(10.0, 100.0),
         )
     )
+
+
+def simulate_indexed(cfg: SimConfig) -> SimResult:
+    """The simulator on a valid config, with its FIFO loop written as a
+    numpy-indexed pass: pop the earliest-free server, push its next free
+    time. Same draws and batch means as ``simulate``."""
+    warmup = cfg.customers // 10 if cfg.warmup is None else cfg.warmup
+    streams = np.random.SeedSequence(cfg.seed).spawn(3)
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+    arrivals = np.cumsum(rngs[0].exponential(1.0 / cfg.lam, cfg.customers))
+    services = rngs[1].exponential(1.0 / cfg.mu, cfg.customers)
+    errors = rngs[2].random(cfg.customers) < cfg.error_prob
+
+    waits = np.empty(cfg.customers)
+    free_at = [0.0] * cfg.n
+    heapq.heapify(free_at)
+    for i in range(cfg.customers):
+        t = arrivals[i]
+        avail = heapq.heappop(free_at)
+        start = t if t > avail else avail
+        waits[i] = start - t
+        heapq.heappush(free_at, start + services[i])
+
+    per_batch = (cfg.customers - warmup) // N_BATCHES
+    keep = N_BATCHES * per_batch
+    sl = slice(warmup, warmup + keep)
+    w = waits[sl].reshape(N_BATCHES, per_batch)
+    s = services[sl].reshape(N_BATCHES, per_batch)
+    e = errors[sl].reshape(N_BATCHES, per_batch)
+    arr = arrivals[sl]
+    starts = arr[::per_batch]
+    ends = np.append(starts[1:], arr[-1] + 1.0 / cfg.lam)
+    means = [
+        w.mean(axis=1),
+        (w + s).mean(axis=1),
+        s.sum(axis=1) / (cfg.n * (ends - starts)),
+        e.mean(axis=1),
+    ]
+    fields = []
+    for x in means:
+        fields += [float(x.mean()), float(x.std(ddof=1) / np.sqrt(N_BATCHES))]
+    return SimResult(*fields, customers_counted=keep)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from liabstaff import (
     BASELINE,
     Mode,
+    ParameterError,
     figure_data,
     monotone_violations,
     optimize_platform,
@@ -72,6 +73,24 @@ def test_boundary_at_baseline_arrival_rate():
 def test_boundary_absent_when_no_flip():
     points = regime_boundary(BASELINE, [50.0], 900.0, 1500.0)
     assert points == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_boundary_rejects_tolerance_that_cannot_stop(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        regime_boundary(BASELINE, [50.0], 800.0, 5000.0, tol=tol)
+
+
+def test_boundary_below_float_spacing_ends_at_adjacent_floats():
+    # floats near L = 2700 lie about 5e-13 apart: bisection stops at two
+    # adjacent ones instead of looping
+    (point,) = regime_boundary(BASELINE, [50.0], 2000.0, 5000.0, tol=1e-300)
+    (coarse,) = regime_boundary(BASELINE, [50.0], 2000.0, 5000.0, tol=1.0)
+    assert abs(point.l_boundary - coarse.l_boundary) <= 1.0
+    below = optimize_platform(validate(dataclasses.replace(BASELINE, big_l=point.l_boundary - 1e-9)))
+    above = optimize_platform(validate(dataclasses.replace(BASELINE, big_l=point.l_boundary + 1e-9)))
+    assert below.winner.regime is Mode.A
+    assert above.winner.regime is Mode.I
 
 
 def test_monotone_violation_detection():

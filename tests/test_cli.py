@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from liabstaff import cli
+
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "liabstaff", *args]
@@ -26,8 +28,14 @@ def test_help():
 
 
 def test_import_leaves_numpy_unloaded():
-    # only the simulator needs numpy, and it imports it when it runs
-    code = "import liabstaff.cli, sys; assert 'numpy' not in sys.modules"
+    # only the simulator needs numpy and array, and it imports them when it
+    # runs; the parser is built by the first main() call, not at import
+    code = (
+        "import liabstaff.cli, sys; "
+        "assert 'numpy' not in sys.modules; "
+        "assert 'array' not in sys.modules; "
+        "assert liabstaff.cli._parser.cache_info().currsize == 0"
+    )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
@@ -122,6 +130,7 @@ def test_scenario_stdout_default():
     assert cp.stdout.splitlines()[0].startswith("id,mode")
     assert_usage_error(run_cli("scenario", "--alpha", "2"))
     assert_usage_error(run_cli("scenario", "--theta-floor", "0"))
+    assert_usage_error(run_cli("scenario", "--scenarios", ","))
 
 
 def test_sweep_row_count(tmp_path: Path):
@@ -152,6 +161,15 @@ def test_regime_map_and_boundary(tmp_path: Path):
     blines = boundary.read_text().splitlines()
     assert blines[0] == "lambda,l_boundary"
     assert len(blines) >= 2
+    # a tolerance that cannot end the bisection is a usage error
+    for tol in ("0", "-1", "nan", "inf"):
+        assert_usage_error(run_cli(
+            "regime-map",
+            "--grid", "lambda=50:50:1",
+            "--grid", "big_l=800:5000:3",
+            "--boundary-out", str(boundary),
+            "--tol", tol,
+        ))
 
 
 def test_welfare_command(tmp_path: Path):
@@ -246,3 +264,37 @@ def test_thousands_flag():
     cp = run_cli("solve", "--thousands")
     assert cp.returncode == 0
     assert "10.0901k" in cp.stdout
+
+
+# The parser is built once per process; these calls run main() in process
+# to check that nothing of one call leaks into the next.
+
+
+def test_in_process_regime_map_calls_identical(capsys):
+    args = ["regime-map", "--grid", "lambda=40:60:3", "--grid", "big_l=1000:3000:3"]
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+    assert cli.main(args) == 0
+    second = capsys.readouterr().out
+    assert first == second
+    assert len(first.splitlines()) == 10  # header + 3*3 cells: grids did not accumulate
+
+
+def test_in_process_rerun_reproduces_csv(tmp_path: Path, capsys):
+    out = tmp_path / "map.csv"
+    args = ["regime-map", "--grid", "lambda=40:60:3", "--grid", "big_l=1000:3000:3",
+            "--out", str(out)]
+    assert cli.main(args) == 0
+    original = out.read_bytes()
+    out.unlink()
+    assert cli.main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
+    assert out.read_bytes() == original
+
+
+def test_in_process_usage_error_after_success(capsys):
+    assert cli.main(["solve"]) == 0
+    assert cli.main(["scenario", "--scenarios", "S9"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--no-such-flag"])
+    assert exc.value.code == 2

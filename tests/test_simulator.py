@@ -13,6 +13,9 @@ from liabstaff import (
     simulate,
     simulate_policy,
 )
+from liabstaff.cli import _VALIDATE_CONFIGS
+
+from oracles import simulate_indexed
 
 
 def test_wait_matches_analytic_fast_mode():
@@ -111,3 +114,19 @@ def test_coverage_across_seeds():
         if abs(res.mean_wait - wq) <= 3 * res.wait_stderr:
             hits += 1
     assert hits >= n_seeds - 2
+
+
+@pytest.mark.parametrize("lam, mu, n", _VALIDATE_CONFIGS)
+@pytest.mark.parametrize(
+    "customers, warmup, error_prob, seed",
+    [
+        (20_000, None, 0.0, 0),
+        (20_000, None, 0.1, 1),
+        (12_345, 0, 0.1, 2),
+        (5_000, 1_234, 0.0, 3),
+    ],
+)
+def test_matches_indexed_loop_bit_for_bit(lam, mu, n, customers, warmup, error_prob, seed):
+    cfg = SimConfig(lam=lam, mu=mu, n=n, customers=customers, seed=seed,
+                    warmup=warmup, error_prob=error_prob)
+    assert simulate(cfg) == simulate_indexed(cfg)
