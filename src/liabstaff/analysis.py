@@ -106,6 +106,13 @@ def _winner_at(p: ModelParams, lam: float, big_l: float) -> Mode:
     return sol.winner.regime
 
 
+def check_boundary_tol(tol: float) -> None:
+    """Raise ParameterError unless tol is a positive finite number, the
+    bisection tolerance regime_boundary accepts."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
+
+
 def regime_boundary(
     p: ModelParams,
     lambda_grid: list[float],
@@ -121,8 +128,7 @@ def regime_boundary(
     share a winner contribute no points. Bisection also stops once the
     bracket is two adjacent floats, so a tol below their spacing still ends.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
+    check_boundary_tol(tol)
     points: list[BoundaryPoint] = []
     for lam in lambda_grid:
         scan_l = linspace(l_lo, l_hi, prescan)

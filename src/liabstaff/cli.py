@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from .analysis import (
     FIGURE_IDS,
+    check_boundary_tol,
     figure_data,
     linspace,
     monotone_violations,
@@ -248,6 +249,8 @@ def _cmd_regime_map(args) -> int:
             raise _UsageError(f"regime-map grids must be lambda=... or big_l=..., got {name!r}")
         grids[name] = values
     lam_grid, l_grid = grids["lambda"], grids["big_l"]
+    if args.boundary_out:
+        check_boundary_tol(args.tol)
     cells = regime_map(p, lam_grid, l_grid)
     header = ["lambda", "big_l", "winner", "theta_star", "n_star", "total", "error"]
     rows = [
@@ -375,9 +378,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rerun(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    return main(manifest["argv"])
+    path = args.manifest
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read manifest {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise _UsageError(f"manifest {path} is not valid JSON: {exc}") from None
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise _UsageError(f'manifest {path} has no "argv" list of strings')
+    if argv[:1] == ["rerun"]:
+        # written manifests record the command that wrote them, never a rerun
+        raise _UsageError(f"manifest {path} reruns a manifest; give that manifest instead")
+    return main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ParameterError
+from .queueing import MAX_OFFERED_LOAD
 
 # The physician wage w has no calibrated value; it cancels out of every
 # mode-choice comparison, so any positive default is equivalent.
@@ -62,7 +63,8 @@ BASELINE = ModelParams()
 
 
 def validate(p: ModelParams) -> ModelParams:
-    """Check every parameter is finite and every ordering holds; return ``p``
+    """Check every parameter is finite, every ordering holds and the larger
+    offered load lam / mu_i is within queueing.MAX_OFFERED_LOAD; return ``p``
     unchanged if all do.
 
     Raises ParameterError listing one line per violation.
@@ -78,6 +80,11 @@ def validate(p: ModelParams) -> ModelParams:
         problems.append("mu_i must be positive")
     if not p.mu_a > p.mu_i:
         problems.append("mu_a must exceed mu_i")
+    if 0 < p.lam < math.inf and p.mu_i > 0 and p.lam / p.mu_i > MAX_OFFERED_LOAD:
+        problems.append(
+            f"lambda/mu_i must not exceed the offered-load limit {MAX_OFFERED_LOAD:g}, "
+            f"got {p.lam / p.mu_i:.10g}"
+        )
     if not p.q > 0:
         problems.append("q must be positive")
     if not p.h < 1:

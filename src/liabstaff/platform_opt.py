@@ -12,6 +12,7 @@ Scenario S0 (forced mode and share) and each mode of the social optimum S4
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, ParameterError
@@ -22,10 +23,6 @@ from .queueing import _stable_levels, queue_metrics
 # Lowest liability share that still induces independent mode; the regime-I
 # interval is open at the threshold, so the search closes it at this offset.
 REGIME_I_EPS = 1e-6
-
-# Safety guard: the stop rule of optimize_regime ends a search within a few
-# levels of the offered load, so only an offered load near this cap reaches it.
-MAX_STAFFING = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,22 +62,25 @@ class PlatformSolution:
     winner: RegimeResult
 
 
+def _terms(
+    theta: float, n: int, err_prob: float, t_total: float,
+    lam: float, big_l: float, c_w: float, c_n: float, kappa: float,
+) -> tuple[float, float, float, float, float]:
+    """(risk, congestion, staffing, compliance, total) as plain floats, from
+    the fields lam, big_l, c_w, c_n and kappa of the parameter set."""
+    risk = lam * (1.0 - theta) * big_l * err_prob
+    congestion = lam * c_w * t_total
+    staffing = c_n * n
+    compliance = kappa * theta * theta * n
+    return risk, congestion, staffing, compliance, risk + congestion + staffing + compliance
+
+
 def _cost(theta: float, n: int, err_prob: float, t_total: float, p: ModelParams) -> CostBreakdown:
     """The four cost components at share theta, N servers, the mode's error
     probability and the expected system time t_total."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    risk = p.lam * (1.0 - theta) * p.big_l * err_prob
-    congestion = p.lam * p.c_w * t_total
-    staffing = p.c_n * n
-    compliance = p.kappa * theta * theta * n
-    return CostBreakdown(
-        risk=risk,
-        congestion=congestion,
-        staffing=staffing,
-        compliance=compliance,
-        total=risk + congestion + staffing + compliance,
-    )
+    return CostBreakdown(*_terms(theta, n, err_prob, t_total, p.lam, p.big_l, p.c_w, p.c_n, p.kappa))
 
 
 def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdown:
@@ -90,12 +90,18 @@ def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdo
     return _cost(theta, n, err_prob, queue_metrics(p.lam, mu, n).t_total, p)
 
 
+def _share(
+    n: int, err_prob: float, lo: float, hi: float, lam: float, big_l: float, kappa: float
+) -> float:
+    """theta_optimal on plain floats: the clamp to [lo, hi] of the stationary
+    point lam L P_m / (2 kappa N) of the cost in theta."""
+    return min(max(lam * big_l * err_prob / (2.0 * kappa * n), lo), hi)
+
+
 def theta_unconstrained(m: Mode, n: int, p: ModelParams) -> float:
-    """Stationary point lam * L * P_m / (2 kappa N) of the cost in theta."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _, err_prob, _ = mode_attrs(m, p)
-    return p.lam * p.big_l * err_prob / (2.0 * p.kappa * n)
+    """Stationary point lam * L * P_m / (2 kappa N) of the cost in theta:
+    its minimizer over the whole real line."""
+    return theta_optimal(m, n, -math.inf, math.inf, p)
 
 
 def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> float:
@@ -103,7 +109,10 @@ def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> floa
     point, unique by strict convexity."""
     if lo > hi:
         raise InfeasibleError(f"empty theta interval [{lo:g}, {hi:g}]")
-    return min(max(theta_unconstrained(m, n, p), lo), hi)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _, err_prob, _ = mode_attrs(m, p)
+    return _share(n, err_prob, lo, hi, p.lam, p.big_l, p.kappa)
 
 
 def optimize_regime(
@@ -112,41 +121,51 @@ def optimize_regime(
     """Minimize cost over stable staffing levels within one regime.
 
     Enumerates N upward from the smallest level erlang_c accepts, with theta
-    at theta_optimal(N), and stops after level N once
+    at theta_optimal(N), and stops after level N once the bound
 
-        f(N+1) + lam c_w / mu + c_n (N+1) > incumbent total,
+        f(N+1) + lam c_w / mu + c_n (N+1)
 
-    where f(N) = lam (1 - theta) L P + kappa theta^2 N at theta_optimal(N),
-    the minimum of risk plus compliance over [theta_lo, theta_hi]. This
-    bounds the total of every level above N: f is nondecreasing in N, being
-    a minimum of functions nondecreasing in N; congestion
-    lam c_w (W_q + 1/mu) is never below lam c_w / mu; and staffing grows with
-    N. The bound is the cost of level N+1 with no queue wait. Ties go to the
-    smaller N.
+    is not below the incumbent total, where f(N) = lam (1 - theta) L P +
+    kappa theta^2 N at theta_optimal(N), the minimum of risk plus compliance
+    over [theta_lo, theta_hi]. The bound is the cost of level N+1 with no
+    queue wait, and no level above N costs less: f is nondecreasing in N,
+    being a minimum of functions nondecreasing in N; congestion
+    lam c_w (W_q + 1/mu) is never below lam c_w / mu; and staffing grows
+    with N. Ties go to the smaller N, so a bound equal to the incumbent also
+    ends the search, as does a NaN bound. No cap on N is needed: the bound
+    grows by c_n per level while the incumbent never grows, and once W_q is
+    below rounding the bound is the next level's total, so the first level
+    that does not lower the incumbent ends the search.
+
+    The search runs on plain floats: the level stream of queueing yields each
+    level's system time, the parameter fields and mode_attrs are read once,
+    and theta_optimal(N+1), computed for the bound, is carried to the next
+    level. Policy, CostBreakdown and RegimeResult are built once, for the
+    winning level.
     """
     if theta_lo > theta_hi:
         return RegimeResult(regime, False, None, None, None, None)
     mu, err_prob, _ = mode_attrs(regime, p)
-    n_lo = best_policy = best_cost = None
-    for n, metrics in _stable_levels(p.lam, mu, MAX_STAFFING):
+    lam, big_l, c_w, c_n, kappa = p.lam, p.big_l, p.c_w, p.c_n, p.kappa
+    t_free = 1.0 / mu
+    n_lo = best_n = best_theta = best_t = best_total = theta = None
+    for n, t_total in _stable_levels(lam, mu):
         if n_lo is None:
             n_lo = n
-        theta = theta_optimal(regime, n, theta_lo, theta_hi, p)
-        cost = _cost(theta, n, err_prob, metrics.t_total, p)
-        if best_cost is None or cost.total < best_cost.total:
-            best_policy = Policy(theta=theta, n=n, mode=regime)
-            best_cost = cost
-        theta_next = theta_optimal(regime, n + 1, theta_lo, theta_hi, p)
-        if _cost(theta_next, n + 1, err_prob, 1.0 / mu, p).total > best_cost.total:
+            theta = _share(n, err_prob, theta_lo, theta_hi, lam, big_l, kappa)
+        total = _terms(theta, n, err_prob, t_total, lam, big_l, c_w, c_n, kappa)[4]
+        if best_n is None or total < best_total:
+            best_n, best_theta, best_t, best_total = n, theta, t_total, total
+        theta = _share(n + 1, err_prob, theta_lo, theta_hi, lam, big_l, kappa)
+        bound = _terms(theta, n + 1, err_prob, t_free, lam, big_l, c_w, c_n, kappa)[4]
+        if not bound < best_total:
             break
-    else:
-        raise InfeasibleError(f"staffing enumeration exceeded {MAX_STAFFING} servers")
     return RegimeResult(
         regime=regime,
         feasible=True,
-        best=best_policy,
-        cost=best_cost,
-        theta_unconstrained=theta_unconstrained(regime, best_policy.n, p),
+        best=Policy(theta=best_theta, n=best_n, mode=regime),
+        cost=_cost(best_theta, best_n, err_prob, best_t, p),
+        theta_unconstrained=_share(best_n, err_prob, -math.inf, math.inf, lam, big_l, kappa),
         n_searched=(n_lo, n),
     )
 

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's solution paths: the delay probability
 is summed term by term from the factorial form, the optimizers are
-replaced by exhaustive grids, and the simulator's FIFO loop is replayed
-with numpy indexing and a heap pop and push per customer.
+replaced by exhaustive grids, the per-regime staffing search is replayed with
+a QueueMetrics and a CostBreakdown built at every level, and the simulator's
+FIFO loop is replayed with numpy indexing and a heap pop and push per
+customer.
 """
 
 import dataclasses
@@ -12,9 +14,22 @@ import math
 
 import numpy as np
 
-from liabstaff import BASELINE, Mode, ModelParams, SimConfig, SimResult, mode_attrs, validate
+from liabstaff import (
+    BASELINE,
+    CostBreakdown,
+    InfeasibleError,
+    Mode,
+    ModelParams,
+    Policy,
+    QueueMetrics,
+    RegimeResult,
+    SimConfig,
+    SimResult,
+    mode_attrs,
+    validate,
+)
 from liabstaff.physician import threshold
-from liabstaff.queueing import min_staffing
+from liabstaff.queueing import _RHO_CEILING, min_staffing
 from liabstaff.simulator import N_BATCHES
 
 
@@ -117,6 +132,65 @@ def brute_force_social(p: ModelParams) -> tuple[Mode, int, float]:
             if best is None or total < best[2]:
                 best = (m, n, total)
     return best
+
+
+def _level_metrics(lam: float, mu: float, n_max: int):
+    """(N, QueueMetrics) for every N <= n_max with utilization at most
+    _RHO_CEILING, Erlang B advanced one step per level."""
+    a = lam / mu
+    b = 1.0
+    for n in range(1, n_max + 1):
+        b = a * b / (n + a * b)
+        if a / n <= _RHO_CEILING:
+            rho = a / n
+            delay_prob = b / (1.0 - rho * (1.0 - b))
+            w_q = delay_prob / (n * mu - lam)
+            yield n, QueueMetrics(rho=lam / mu / n, delay_prob=delay_prob, w_q=w_q, t_total=w_q + 1.0 / mu)
+
+
+def _level_cost(theta: float, n: int, err_prob: float, t_total: float, p: ModelParams) -> CostBreakdown:
+    risk = p.lam * (1.0 - theta) * p.big_l * err_prob
+    congestion = p.lam * p.c_w * t_total
+    staffing = p.c_n * n
+    compliance = p.kappa * theta * theta * n
+    return CostBreakdown(risk, congestion, staffing, compliance, risk + congestion + staffing + compliance)
+
+
+def optimize_regime_per_level(
+    regime: Mode, theta_lo: float, theta_hi: float, p: ModelParams, n_max: int = 10_000
+) -> RegimeResult:
+    """The per-regime staffing search with objects at every level: a
+    QueueMetrics per level, a CostBreakdown for the level and for the bound
+    on the levels above it, a Policy per improvement. The share at N is the
+    clamp of the stationary point lam L P / (2 kappa N) to the interval. It
+    stops once the bound exceeds the incumbent total and raises
+    InfeasibleError past n_max servers. The library's float search must
+    return an equal RegimeResult (==, every float bit for bit); the two stop
+    rules differ only on an exact tie of bound and incumbent."""
+    if theta_lo > theta_hi:
+        return RegimeResult(regime, False, None, None, None, None)
+    mu, err_prob, _ = mode_attrs(regime, p)
+
+    def stationary(n):
+        return p.lam * p.big_l * err_prob / (2.0 * p.kappa * n)
+
+    def share(n):
+        return min(max(stationary(n), theta_lo), theta_hi)
+
+    n_lo = best_policy = best_cost = None
+    for n, metrics in _level_metrics(p.lam, mu, n_max):
+        if n_lo is None:
+            n_lo = n
+        theta = share(n)
+        cost = _level_cost(theta, n, err_prob, metrics.t_total, p)
+        if best_cost is None or cost.total < best_cost.total:
+            best_policy = Policy(theta=theta, n=n, mode=regime)
+            best_cost = cost
+        if _level_cost(share(n + 1), n + 1, err_prob, 1.0 / mu, p).total > best_cost.total:
+            break
+    else:
+        raise InfeasibleError(f"staffing enumeration exceeded {n_max} servers")
+    return RegimeResult(regime, True, best_policy, best_cost, stationary(best_policy.n), (n_lo, n))
 
 
 def random_valid_params(rng: np.random.Generator) -> ModelParams:

@@ -161,15 +161,20 @@ def test_regime_map_and_boundary(tmp_path: Path):
     blines = boundary.read_text().splitlines()
     assert blines[0] == "lambda,l_boundary"
     assert len(blines) >= 2
-    # a tolerance that cannot end the bisection is a usage error
+    # a tolerance that cannot end the bisection is a usage error, found
+    # before the map is solved and written
+    early = tmp_path / "early.csv"
     for tol in ("0", "-1", "nan", "inf"):
         assert_usage_error(run_cli(
             "regime-map",
             "--grid", "lambda=50:50:1",
             "--grid", "big_l=800:5000:3",
+            "--out", str(early),
             "--boundary-out", str(boundary),
             "--tol", tol,
         ))
+    assert not early.exists()
+    assert not Path(str(early) + ".manifest.json").exists()
 
 
 def test_welfare_command(tmp_path: Path):
@@ -240,6 +245,30 @@ def test_manifest_rerun_reproduces_csv(tmp_path: Path):
     cp = run_cli("rerun", "--manifest", str(out) + ".manifest.json")
     assert cp.returncode == 0
     assert out.read_bytes() == original
+
+
+def test_rerun_bad_manifest_exits_2(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.json"
+    texts = ['{"argv": 5}', '{"argv": ["solve", 5]}', "[1]", "{}", "not json",
+             json.dumps({"argv": ["rerun", "--manifest", str(bad)]})]
+    assert cli.main(["rerun", "--manifest", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    for text in texts:
+        bad.write_text(text)
+        assert cli.main(["rerun", "--manifest", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_large_offered_load_solves_and_over_limit_exits_2(tmp_path: Path):
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text("lambda = 100000\n")
+    cp = run_cli("solve", "--config", str(cfg))
+    assert cp.returncode == 0
+    assert cp.stdout.startswith("winner: Regime A, theta=0.477783, N=8372\n")
+    cfg.write_text("lambda = 1e7\n")
+    cp = run_cli("solve", "--config", str(cfg))
+    assert_usage_error(cp)
+    assert "offered-load limit" in cp.stderr
 
 
 def test_config_env_var(tmp_path: Path):

@@ -14,6 +14,7 @@ from liabstaff import (
     parse_config,
     validate,
 )
+from liabstaff.queueing import MAX_OFFERED_LOAD
 
 
 def test_baseline_values_accepted():
@@ -69,6 +70,16 @@ def test_independent_mode_always_more_accurate(q, gap):
     h = min(q + gap, 0.99)
     p = validate(dataclasses.replace(BASELINE, q=q, h=h))
     assert mode_attrs(Mode.I, p)[1] < mode_attrs(Mode.A, p)[1]
+
+
+def test_offered_load_limit():
+    # lambda = 100000 lies far inside the limit; lambda / mu_i at the limit passes
+    assert parse_config("lambda = 100000").lam == 100000.0
+    validate(dataclasses.replace(BASELINE, lam=MAX_OFFERED_LOAD * BASELINE.mu_i))
+    with pytest.raises(ParameterError, match="offered-load limit"):
+        validate(dataclasses.replace(BASELINE, lam=1.01 * MAX_OFFERED_LOAD * BASELINE.mu_i))
+    with pytest.raises(ParameterError, match="offered-load limit"):
+        parse_config("mu_i = 1e-300\nmu_a = 1")
 
 
 def test_params_are_immutable():

@@ -7,6 +7,7 @@ from liabstaff import (
     BASELINE,
     InfeasibleError,
     Mode,
+    ParameterError,
     UnstableError,
     cost_breakdown,
     make_scenario,
@@ -18,12 +19,16 @@ from liabstaff import (
     social_cost,
     theta_optimal,
     theta_unconstrained,
+    threshold,
 )
+from liabstaff.platform_opt import REGIME_I_EPS
+from liabstaff.queueing import MAX_OFFERED_LOAD
 
 from oracles import (
     brute_force_platform,
     brute_force_regime,
     brute_force_social,
+    optimize_regime_per_level,
     random_valid_params,
     total_cost_direct,
 )
@@ -273,3 +278,53 @@ def test_optimize_social_matches_brute_force_random():
         bf_mode, bf_n, bf_total = brute_force_social(p)
         assert (pol.mode, pol.n) == (bf_mode, bf_n)
         assert cb.total == pytest.approx(bf_total, rel=1e-12)
+
+
+def test_float_search_equals_per_level_reference():
+    # every share interval the scenarios hand the search: S4 [0, 0], S0
+    # [0.5, 0.5], S1's two regimes, S2's and S3's regimes, and an empty one
+    rng = np.random.default_rng(10)
+    params = [BASELINE, dataclasses.replace(BASELINE, lam=5000.0)]
+    params += [random_valid_params(rng) for _ in range(40)]
+    for p in params:
+        theta_d = threshold(p).theta_d
+        i_lo = theta_d + REGIME_I_EPS
+        intervals = [
+            (0.0, 0.0),
+            (0.5, 0.5),
+            (0.0, min(1.0, theta_d)),
+            (max(0.0, i_lo), 1.0),
+            (0.0, min(0.5, theta_d)),
+            (max(0.0, i_lo), 0.5),
+            (0.3, min(1.0, theta_d)),
+            (max(0.3, i_lo), 1.0),
+            (0.7, 0.6),
+        ]
+        for m in (Mode.A, Mode.I):
+            for lo, hi in intervals:
+                assert optimize_regime(m, lo, hi, p) == optimize_regime_per_level(m, lo, hi, p)
+
+
+def test_large_offered_load_solves_without_a_staffing_cap():
+    # regime I's offered load, 16667, lies above the 10000 servers that once
+    # capped the search and made this call raise InfeasibleError
+    sol = optimize_platform(dataclasses.replace(BASELINE, lam=100000.0))
+    assert sol.winner.regime is Mode.A
+    assert sol.winner.best.n == 8372
+    assert sol.regime_i.feasible
+    assert sol.regime_i.n_searched[0] == 16667
+
+
+def test_search_ends_where_every_level_costs_the_same():
+    # with c_w this large the totals of all levels past the optimum round to
+    # one float: a bound equal to the incumbent ends the search
+    p = dataclasses.replace(BASELINE, c_w=1e300)
+    res = optimize_regime(Mode.A, 0.0, 0.6, p)
+    assert res.best.n == 29
+    assert res.n_searched == (5, 29)
+
+
+def test_offered_load_above_domain_limit_rejected():
+    p = dataclasses.replace(BASELINE, lam=1.5 * MAX_OFFERED_LOAD * BASELINE.mu_a)
+    with pytest.raises(ParameterError, match="domain limit"):
+        optimize_regime(Mode.A, 0.0, 1.0, p)
