@@ -78,21 +78,19 @@ def _solve_cell(p: ModelParams, lam: float, big_l: float) -> RegimeCell:
         return RegimeCell(lam, big_l, None, None, None, None, error=str(exc))
 
 
-def regime_map(
-    p: ModelParams,
-    lambda_grid: list[float],
-    l_grid: list[float],
-    jobs: int = 1,
-) -> list[RegimeCell]:
+def regime_map(p: ModelParams, lambda_grid: list[float], l_grid: list[float]) -> list[RegimeCell]:
     """Optimal-mode map over the (lambda, L) plane, row-major in the grids.
 
-    Per-cell optimizer errors are recorded in the cell; the sweep continues.
-    ``jobs`` is accepted for compatibility; ignored: a cell solves in a few
-    staffing levels per regime, less than handing it to a worker process.
+    Cells are solved one after another in this process. Per-cell optimizer
+    errors are recorded in the cell; the sweep continues.
     """
     if not lambda_grid or not l_grid:
         raise ValueError("grids must be non-empty")
     return [_solve_cell(p, lam, big_l) for lam in lambda_grid for big_l in l_grid]
+
+
+# Loss severities scanned per lambda for winner changes before bisecting.
+BOUNDARY_PRESCAN = 20
 
 
 @dataclass(frozen=True)
@@ -119,21 +117,21 @@ def regime_boundary(
     l_lo: float,
     l_hi: float,
     tol: float = 1.0,
-    prescan: int = 20,
 ) -> list[BoundaryPoint]:
     """Bisect the loss-severity axis for the regime flip at each lambda.
 
-    A pre-scan detects multiple crossings; every detected crossing is emitted
-    rather than assuming the single-crossing shape. Columns whose endpoints
+    A pre-scan of BOUNDARY_PRESCAN evenly spaced severities detects multiple
+    crossings; every detected crossing is emitted rather than assuming the
+    single-crossing shape. Columns whose endpoints
     share a winner contribute no points. Bisection also stops once the
     bracket is two adjacent floats, so a tol below their spacing still ends.
     """
     check_boundary_tol(tol)
     points: list[BoundaryPoint] = []
     for lam in lambda_grid:
-        scan_l = linspace(l_lo, l_hi, prescan)
+        scan_l = linspace(l_lo, l_hi, BOUNDARY_PRESCAN)
         winners = [_winner_at(p, lam, big_l) for big_l in scan_l]
-        for i in range(prescan - 1):
+        for i in range(BOUNDARY_PRESCAN - 1):
             if winners[i] is winners[i + 1]:
                 continue
             lo, hi = scan_l[i], scan_l[i + 1]
@@ -205,22 +203,21 @@ FIGURE_IDS = ("fig1", "fig2", "fig3a", "fig3b", "fig4")
 
 
 def figure_data(
-    which: str, p: ModelParams, options: dict | None = None
+    which: str, p: ModelParams, npoints: int = 101, criterion: str = "cost-optimal"
 ) -> tuple[list[str], list[tuple]]:
-    """Plot-ready (header, rows) tables for the expository figures.
+    """Plot-ready (header, rows) tables for the expository figures, each on
+    ``npoints`` evenly spaced values of its x-axis range:
 
-    fig1  delay probability vs utilization for N in {6, 10, 15}
+    fig1  delay probability vs utilization in [0.05, 0.99] for N in {6, 10, 15}
     fig2  physician utilities of both modes over theta in [0, 1]
-    fig3a threshold vs loss severity
-    fig3b threshold vs disutility gap
-    fig4  staffing by mode vs arrival rate; options["criterion"] selects
-          "cost-optimal" (default) or "min-stable"
+    fig3a threshold vs loss severity L in [800, 5000]
+    fig3b threshold vs disutility gap k_i - k_a in [20, 150]
+    fig4  staffing by mode vs arrival rate in [25, 90]; ``criterion`` selects
+          "cost-optimal" (the default) or "min-stable"
     """
-    opts = dict(options or {})
-    npoints = int(opts.get("npoints", 101))
     if which == "fig1":
         rows = []
-        utils = linspace(opts.get("rho_lo", 0.05), opts.get("rho_hi", 0.99), npoints)
+        utils = linspace(0.05, 0.99, npoints)
         for n in (6, 10, 15):
             for rho in utils:
                 rows.append((n, rho, erlang_c(n, rho * n)))
@@ -232,18 +229,16 @@ def figure_data(
         ]
         return ["theta", "utility_a", "utility_i"], rows
     if which == "fig3a":
-        l_grid = linspace(opts.get("l_lo", 800.0), opts.get("l_hi", 5000.0), npoints)
+        l_grid = linspace(800.0, 5000.0, npoints)
         rows = [(big_l, threshold(dataclasses.replace(p, big_l=big_l)).theta_d) for big_l in l_grid]
         return ["big_l", "theta_d"], rows
     if which == "fig3b":
-        dk_grid = linspace(opts.get("dk_lo", 20.0), opts.get("dk_hi", 150.0), npoints)
+        dk_grid = linspace(20.0, 150.0, npoints)
         rows = [(dk, threshold(dataclasses.replace(p, k_i=p.k_a + dk)).theta_d) for dk in dk_grid]
         return ["delta_k", "theta_d"], rows
     if which == "fig4":
-        criterion = opts.get("criterion", "cost-optimal")
-        lam_grid = linspace(opts.get("lam_lo", 25.0), opts.get("lam_hi", 90.0), int(opts.get("npoints", 14)))
         rows = []
-        for lam in lam_grid:
+        for lam in linspace(25.0, 90.0, npoints):
             pl = validate(dataclasses.replace(p, lam=lam))
             if criterion == "min-stable":
                 n_a = min_staffing(pl.lam, pl.mu_a)

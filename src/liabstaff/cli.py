@@ -59,16 +59,12 @@ SCENARIO_CSV_HEADER = [
 ]
 
 
-class _UsageError(Exception):
-    """Raised for argument-level problems detected after argparse."""
-
-
 def _resolve_params(args) -> ModelParams:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return BASELINE
     if not os.path.exists(path):
-        raise _UsageError(f"config file not found: {path}")
+        raise ParameterError(f"config file not found: {path}")
     return load_params(path)
 
 
@@ -79,11 +75,11 @@ def _parse_grid(spec: str) -> tuple[str, list[float]]:
         lo_s, hi_s, n_s = rng.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
-        raise _UsageError(
+        raise ParameterError(
             f"bad grid spec {spec!r}; expected name=lo:hi:npoints"
         ) from None
     if n < 1:
-        raise _UsageError(f"grid {spec!r} needs at least one point")
+        raise ParameterError(f"grid {spec!r} needs at least one point")
     return name.strip(), linspace(lo, hi, n)
 
 
@@ -171,10 +167,10 @@ def _cmd_scenario(args) -> int:
     p = _resolve_params(args)
     ids = [s.strip().upper() for s in args.scenarios.split(",") if s.strip()]
     if not ids:
-        raise _UsageError(f"--scenarios names no scenario; valid: {', '.join(SCENARIO_IDS)}")
+        raise ParameterError(f"--scenarios names no scenario; valid: {', '.join(SCENARIO_IDS)}")
     for sid in ids:
         if sid not in SCENARIO_IDS:
-            raise _UsageError(f"unknown scenario {sid!r}; valid: {', '.join(SCENARIO_IDS)}")
+            raise ParameterError(f"unknown scenario {sid!r}; valid: {', '.join(SCENARIO_IDS)}")
     specs = [make_scenario(sid, alpha=args.alpha, theta_floor=args.theta_floor) for sid in ids]
     rows = compare_scenarios(specs, p)
     csv_rows = []
@@ -246,7 +242,7 @@ def _cmd_regime_map(args) -> int:
     for spec in args.grid or []:
         name, values = _parse_grid(spec)
         if name not in grids:
-            raise _UsageError(f"regime-map grids must be lambda=... or big_l=..., got {name!r}")
+            raise ParameterError(f"regime-map grids must be lambda=... or big_l=..., got {name!r}")
         grids[name] = values
     lam_grid, l_grid = grids["lambda"], grids["big_l"]
     if args.boundary_out:
@@ -257,7 +253,7 @@ def _cmd_regime_map(args) -> int:
         (c.lam, c.big_l, c.winner, c.theta_star, c.n_star, c.total, c.error or "")
         for c in cells
     ]
-    options = {"lambda_grid": lam_grid, "l_grid": l_grid, "jobs": args.jobs}
+    options = {"lambda_grid": lam_grid, "l_grid": l_grid}
     _emit(args.out, args, header, rows, "regime-map", p, options)
     if args.boundary_out:
         points = regime_boundary(p, lam_grid, min(l_grid), max(l_grid), tol=args.tol)
@@ -289,7 +285,7 @@ def _cmd_welfare(args) -> int:
     p = _resolve_params(args)
     name, values = _parse_grid(args.grid or DEFAULT_L_GRID)
     if name != "big_l":
-        raise _UsageError(f"welfare sweeps big_l only, got {name!r}")
+        raise ParameterError(f"welfare sweeps big_l only, got {name!r}")
     rows = welfare_curve(p, values)
     header = ["big_l", "s1_total", "s4_total", "gap", "gap_pct_of_s4"]
     _emit(args.out, args, header, rows, "welfare", p, {"l_grid": values})
@@ -298,11 +294,11 @@ def _cmd_welfare(args) -> int:
 
 def _cmd_figure(args) -> int:
     if args.npoints < 1:
-        raise _UsageError(f"--npoints must be at least 1, got {args.npoints}")
+        raise ParameterError(f"--npoints must be at least 1, got {args.npoints}")
     p = _resolve_params(args)
-    options = {"npoints": args.npoints, "criterion": args.criterion}
-    header, rows = figure_data(args.which, p, options)
-    _emit(args.out, args, header, rows, "figure", p, {"which": args.which, **options})
+    header, rows = figure_data(args.which, p, args.npoints, args.criterion)
+    options = {"which": args.which, "npoints": args.npoints, "criterion": args.criterion}
+    _emit(args.out, args, header, rows, "figure", p, options)
     return 0
 
 
@@ -383,15 +379,15 @@ def _cmd_rerun(args) -> int:
         with open(path) as fh:
             manifest = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read manifest {path}: {exc.strerror}") from None
+        raise ParameterError(f"cannot read manifest {path}: {exc.strerror}") from None
     except ValueError as exc:
-        raise _UsageError(f"manifest {path} is not valid JSON: {exc}") from None
+        raise ParameterError(f"manifest {path} is not valid JSON: {exc}") from None
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
-        raise _UsageError(f'manifest {path} has no "argv" list of strings')
+        raise ParameterError(f'manifest {path} has no "argv" list of strings')
     if argv[:1] == ["rerun"]:
         # written manifests record the command that wrote them, never a rerun
-        raise _UsageError(f"manifest {path} reruns a manifest; give that manifest instead")
+        raise ParameterError(f"manifest {path} reruns a manifest; give that manifest instead")
     return main(argv)
 
 
@@ -446,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--boundary-out", help="also bisect and write the regime boundary CSV")
     sp.add_argument("--tol", type=float, default=1.0, help="boundary bisection tolerance in dollars")
-    sp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
     sp.set_defaults(func=_cmd_regime_map)
 
     sp = sub.add_parser("sweep", help="one-parameter sensitivity sweep")
@@ -507,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (_UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleError, UnstableError) as exc:

@@ -63,7 +63,8 @@ BASELINE = ModelParams()
 
 
 def validate(p: ModelParams) -> ModelParams:
-    """Check every parameter is finite, every ordering holds and the larger
+    """Check every parameter is finite, as are the hourly loss and waiting
+    rates lam * big_l and lam * c_w, every ordering holds and the larger
     offered load lam / mu_i is within queueing.MAX_OFFERED_LOAD; return ``p``
     unchanged if all do.
 
@@ -74,6 +75,10 @@ def validate(p: ModelParams) -> ModelParams:
         for f in dataclasses.fields(p)
         if not math.isfinite(getattr(p, f.name))
     ]
+    if not problems:
+        for name, value in (("big_l", p.big_l), ("c_w", p.c_w)):
+            if not math.isfinite(p.lam * value):
+                problems.append(f"lambda * {name} must be finite, got {p.lam * value!r}")
     if not p.lam > 0:
         problems.append("lambda must be positive")
     if not p.mu_i > 0:

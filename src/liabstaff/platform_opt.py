@@ -171,21 +171,18 @@ def optimize_regime(
 
 
 def optimize_platform(
-    p: ModelParams,
-    theta_lo: float = 0.0,
-    theta_hi: float = 1.0,
-    eps: float = REGIME_I_EPS,
+    p: ModelParams, theta_lo: float = 0.0, theta_hi: float = 1.0
 ) -> PlatformSolution:
     """Solve both regimes on their induced-mode intervals and pick the winner.
 
     Regime A is searched on [theta_lo, min(theta_hi, theta_d)], Regime I on
-    [max(theta_lo, theta_d + eps), theta_hi]; ties go to Regime A.
+    [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
     """
     if not 0.0 <= theta_lo <= theta_hi <= 1.0:
         raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{theta_lo!r}, {theta_hi!r}]")
     theta_d = threshold(p).theta_d
     res_a = optimize_regime(Mode.A, theta_lo, min(theta_hi, theta_d), p)
-    res_i = optimize_regime(Mode.I, max(theta_lo, theta_d + eps), theta_hi, p)
+    res_i = optimize_regime(Mode.I, max(theta_lo, theta_d + REGIME_I_EPS), theta_hi, p)
     if not res_a.feasible and not res_i.feasible:
         raise InfeasibleError(
             f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] "

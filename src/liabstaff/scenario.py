@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, ParameterError, UnstableError
+from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
 from .platform_opt import (
     CostBreakdown,
@@ -80,21 +80,22 @@ def make_scenario(
 
 
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
-    """Solve one scenario's constrained problem."""
+    """Solve one scenario's constrained problem; an empty constraint set
+    gives an infeasible result that names it."""
+    if spec.objective == "social":
+        policy, cost = optimize_social(p)
+        return ScenarioResult(spec.id, True, policy, cost, regime=None)
+    if spec.mode_forced is not None:
+        res = optimize_regime(spec.mode_forced, spec.theta_lo, spec.theta_hi, p)
+        if not res.feasible:
+            reason = f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
+            return ScenarioResult(spec.id, False, None, None, None, reason=reason)
+        return ScenarioResult(spec.id, True, res.best, res.cost, regime=None)
     try:
-        if spec.objective == "social":
-            policy, cost = optimize_social(p)
-            return ScenarioResult(spec.id, True, policy, cost, regime=None)
-        if spec.mode_forced is not None:
-            res = optimize_regime(spec.mode_forced, spec.theta_lo, spec.theta_hi, p)
-            if not res.feasible:
-                raise InfeasibleError(f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]")
-            return ScenarioResult(spec.id, True, res.best, res.cost, regime=None)
-        sol = optimize_platform(p, spec.theta_lo, spec.theta_hi)
-        win = sol.winner
-        return ScenarioResult(spec.id, True, win.best, win.cost, regime=win.regime)
-    except (InfeasibleError, UnstableError) as exc:
+        win = optimize_platform(p, spec.theta_lo, spec.theta_hi).winner
+    except InfeasibleError as exc:
         return ScenarioResult(spec.id, False, None, None, None, reason=str(exc))
+    return ScenarioResult(spec.id, True, win.best, win.cost, regime=win.regime)
 
 
 @dataclass(frozen=True)

@@ -150,24 +150,15 @@ class EmpiricalCost:
     sim: SimResult
 
 
-def simulate_policy(
-    pol: Policy, p: ModelParams, customers: int, seed: int, warmup: int | None = None
-) -> EmpiricalCost:
+def simulate_policy(pol: Policy, p: ModelParams, customers: int, seed: int) -> EmpiricalCost:
     """Estimate the cost components of a policy by simulation: the platform
-    cost of platform_opt priced at the simulated error rate and system time."""
+    cost of platform_opt priced at the simulated error rate and system time,
+    with the SimConfig default warmup."""
     import numpy as np
 
     mu, err_prob, _ = mode_attrs(pol.mode, p)
     sim = simulate(
-        SimConfig(
-            lam=p.lam,
-            mu=mu,
-            n=pol.n,
-            customers=customers,
-            seed=seed,
-            warmup=warmup,
-            error_prob=err_prob,
-        )
+        SimConfig(lam=p.lam, mu=mu, n=pol.n, customers=customers, seed=seed, error_prob=err_prob)
     )
     risk_se = p.lam * (1.0 - pol.theta) * p.big_l * sim.error_rate_stderr
     cong_se = p.lam * p.c_w * sim.system_time_stderr

@@ -149,7 +149,7 @@ def test_criterion_08_regime_map():
     with criterion(8, "25x25 regime map: baseline in A, both regimes present, boundary shape"):
         lam_grid = [float(v) for v in np.linspace(25, 90, 25)]
         l_grid = [float(v) for v in np.linspace(800, 5000, 25)]
-        cells = regime_map(BASELINE, lam_grid + [50.0], l_grid + [2000.0], jobs=4)
+        cells = regime_map(BASELINE, lam_grid + [50.0], l_grid + [2000.0])
         by_coord = {(c.lam, c.big_l): c for c in cells}
         assert by_coord[(50.0, 2000.0)].winner is Mode.A
         winners = {c.winner for c in cells}

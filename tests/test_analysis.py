@@ -50,14 +50,6 @@ def test_single_cell_map_agrees_with_optimizer():
     assert c.total == sol.cost.total
 
 
-def test_regime_map_parallel_matches_serial():
-    lam_grid = [30.0, 50.0, 70.0]
-    l_grid = [1000.0, 3000.0, 5000.0]
-    assert regime_map(BASELINE, lam_grid, l_grid, jobs=2) == regime_map(
-        BASELINE, lam_grid, l_grid, jobs=1
-    )
-
-
 def test_boundary_at_baseline_arrival_rate():
     points = regime_boundary(BASELINE, [50.0], 2000.0, 5000.0, tol=1.0)
     assert len(points) == 1
@@ -150,7 +142,7 @@ def test_welfare_curve_rows_match_scenario_totals():
 
 
 def test_fig1_delay_decreasing_in_staffing():
-    header, rows = figure_data("fig1", BASELINE, {"npoints": 21})
+    header, rows = figure_data("fig1", BASELINE, npoints=21)
     assert header == ["n", "utilization", "delay_prob"]
     by_n = {}
     for n, rho, c in rows:
@@ -160,16 +152,14 @@ def test_fig1_delay_decreasing_in_staffing():
 
 
 def test_fig2_curves_cross_at_threshold():
-    header, rows = figure_data("fig2", BASELINE, {"npoints": 1001})
+    header, rows = figure_data("fig2", BASELINE, npoints=1001)
     diffs = [(theta, ua - ui) for theta, ua, ui in rows]
     crossing = min(diffs, key=lambda d: abs(d[1]))[0]
     assert crossing == pytest.approx(0.60, abs=1e-3)
 
 
 def test_fig3a_matches_threshold_formula_pointwise():
-    header, rows = figure_data(
-        "fig3a", BASELINE, {"npoints": 4, "l_lo": 2000.0, "l_hi": 5000.0}
-    )
+    header, rows = figure_data("fig3a", BASELINE, npoints=8)  # L = 800, 1400, ..., 5000
     for big_l, theta_d in rows:
         expected = threshold(dataclasses.replace(BASELINE, big_l=big_l)).theta_d
         assert theta_d == pytest.approx(expected, abs=1e-12)
@@ -178,20 +168,20 @@ def test_fig3a_matches_threshold_formula_pointwise():
 
 
 def test_fig3b_linear_in_disutility_gap():
-    header, rows = figure_data("fig3b", BASELINE, {"npoints": 14})
+    header, rows = figure_data("fig3b", BASELINE, npoints=14)
     for dk, theta_d in rows:
         assert theta_d == pytest.approx(dk / (2000.0 * 0.05), abs=1e-12)
 
 
 def test_fig4_staffing_criteria():
-    opts = {"npoints": 3, "lam_lo": 25.0, "lam_hi": 75.0}
-    header, rows = figure_data("fig4", BASELINE, {**opts, "criterion": "min-stable"})
+    # lambda = 25, 30, ..., 90
+    header, rows = figure_data("fig4", BASELINE, npoints=14, criterion="min-stable")
     for lam, n_a, n_i in rows:
         assert n_a <= n_i
     by_lam = {r[0]: r for r in rows}
     assert by_lam[50.0][1] == 5  # floor(50/12) + 1
     assert by_lam[50.0][2] == 9  # floor(50/6) + 1
-    header, rows = figure_data("fig4", BASELINE, {**opts, "criterion": "cost-optimal"})
+    header, rows = figure_data("fig4", BASELINE, npoints=14)
     by_lam = {r[0]: r for r in rows}
     assert by_lam[50.0][1] == 5
 

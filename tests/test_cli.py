@@ -83,8 +83,15 @@ def test_solve_bad_config_reports_line(tmp_path: Path):
     cp = run_cli("solve", "--config", str(cfg))
     assert cp.returncode == 2
     assert "line 2" in cp.stderr
-    cfg.write_text("lambda = inf\n")
-    assert_usage_error(run_cli("solve", "--config", str(cfg)))
+    # a value that is not finite, or finite values whose hourly loss or
+    # waiting rate, lambda * big_l or lambda * c_w, overflows
+    for text in ("lambda = inf\n", "big_l = 1e308\n", "big_l = 1e308\nkappa = 1e308\n",
+                 "c_w = 1e308\n"):
+        cfg.write_text(text)
+        for command in ("solve", "scenario"):
+            cp = run_cli(command, "--config", str(cfg))
+            assert_usage_error(cp)
+            assert "must be finite" in cp.stderr
 
 
 def test_solve_infeasible_interval_exits_1(tmp_path: Path):
@@ -154,7 +161,6 @@ def test_regime_map_and_boundary(tmp_path: Path):
         "--grid", "big_l=1000:5000:4",
         "--out", str(out),
         "--boundary-out", str(boundary),
-        "--jobs", "1",
     )
     assert cp.returncode == 0
     assert len(out.read_text().splitlines()) == 13  # header + 3*4 cells
@@ -324,6 +330,7 @@ def test_in_process_usage_error_after_success(capsys):
     assert cli.main(["solve"]) == 0
     assert cli.main(["scenario", "--scenarios", "S9"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--no-such-flag"])
-    assert exc.value.code == 2
+    for argv in (["solve", "--no-such-flag"], ["regime-map", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
