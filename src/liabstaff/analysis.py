@@ -215,6 +215,8 @@ def figure_data(
     fig4  staffing by mode vs arrival rate in [25, 90]; ``criterion`` selects
           "cost-optimal" (the default) or "min-stable"
     """
+    if npoints < 1:
+        raise ParameterError(f"npoints must be at least 1, got {npoints}")
     if which == "fig1":
         rows = []
         utils = linspace(0.05, 0.99, npoints)

@@ -166,11 +166,6 @@ def _cmd_threshold(args) -> int:
 def _cmd_scenario(args) -> int:
     p = _resolve_params(args)
     ids = [s.strip().upper() for s in args.scenarios.split(",") if s.strip()]
-    if not ids:
-        raise ParameterError(f"--scenarios names no scenario; valid: {', '.join(SCENARIO_IDS)}")
-    for sid in ids:
-        if sid not in SCENARIO_IDS:
-            raise ParameterError(f"unknown scenario {sid!r}; valid: {', '.join(SCENARIO_IDS)}")
     specs = [make_scenario(sid, alpha=args.alpha, theta_floor=args.theta_floor) for sid in ids]
     rows = compare_scenarios(specs, p)
     csv_rows = []
@@ -293,8 +288,6 @@ def _cmd_welfare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.npoints < 1:
-        raise ParameterError(f"--npoints must be at least 1, got {args.npoints}")
     p = _resolve_params(args)
     header, rows = figure_data(args.which, p, args.npoints, args.criterion)
     options = {"which": args.which, "npoints": args.npoints, "criterion": args.criterion}
@@ -388,7 +381,16 @@ def _cmd_rerun(args) -> int:
     if argv[:1] == ["rerun"]:
         # written manifests record the command that wrote them, never a rerun
         raise ParameterError(f"manifest {path} reruns a manifest; give that manifest instead")
-    return main(argv)
+    rerun = _parser().parse_args(argv)
+    rerun.argv = argv
+    recorded = manifest.get("params")
+    if recorded is not None and hasattr(rerun, "config"):  # simulate records none
+        params = dataclasses.asdict(_resolve_params(rerun))
+        if params != recorded:
+            changed = [k for k in params if not isinstance(recorded, dict) or recorded.get(k) != params[k]]
+            raise ParameterError(f"manifest {path} recorded other values of {', '.join(changed)} "
+                                 "than this rerun resolves; rerun with the config it was written with")
+    return rerun.func(rerun)
 
 
 def build_parser() -> argparse.ArgumentParser:

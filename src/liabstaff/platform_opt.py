@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams, mode_attrs
 from .physician import threshold
-from .queueing import _stable_levels, queue_metrics
+from .queueing import _delay_probs, _wait, queue_metrics
 
 # Lowest liability share that still induces independent mode; the regime-I
 # interval is open at the threshold, so the search closes it at this offset.
@@ -137,11 +137,12 @@ def optimize_regime(
     below rounding the bound is the next level's total, so the first level
     that does not lower the incumbent ends the search.
 
-    The search runs on plain floats: the level stream of queueing yields each
-    level's system time, the parameter fields and mode_attrs are read once,
-    and theta_optimal(N+1), computed for the bound, is carried to the next
-    level. Policy, CostBreakdown and RegimeResult are built once, for the
-    winning level.
+    The search runs on plain floats: it reads the delay probability of each
+    level from queueing's one level stream, _delay_probs, and forms the system
+    time W_q + 1/mu as queue_metrics does. The parameter fields and mode_attrs
+    are read once, and theta_optimal(N+1), computed for the bound, is carried
+    to the next level. Policy, CostBreakdown and RegimeResult are built once,
+    for the winning level.
     """
     if theta_lo > theta_hi:
         return RegimeResult(regime, False, None, None, None, None)
@@ -149,7 +150,8 @@ def optimize_regime(
     lam, big_l, c_w, c_n, kappa = p.lam, p.big_l, p.c_w, p.c_n, p.kappa
     t_free = 1.0 / mu
     n_lo = best_n = best_theta = best_t = best_total = theta = None
-    for n, t_total in _stable_levels(lam, mu):
+    for n, delay_prob in _delay_probs(lam / mu):
+        t_total = _wait(lam, mu, n, delay_prob) + t_free
         if n_lo is None:
             n_lo = n
             theta = _share(n, err_prob, theta_lo, theta_hi, lam, big_l, kappa)
@@ -170,6 +172,14 @@ def optimize_regime(
     )
 
 
+def _winner(res_a: RegimeResult, res_i: RegimeResult) -> RegimeResult | None:
+    """The feasible result of the lower total, Regime A on a tie (and only on
+    a tie); None when neither is feasible."""
+    if res_a.feasible and (not res_i.feasible or res_a.cost.total <= res_i.cost.total):
+        return res_a
+    return res_i if res_i.feasible else None
+
+
 def optimize_platform(
     p: ModelParams, theta_lo: float = 0.0, theta_hi: float = 1.0
 ) -> PlatformSolution:
@@ -183,17 +193,12 @@ def optimize_platform(
     theta_d = threshold(p).theta_d
     res_a = optimize_regime(Mode.A, theta_lo, min(theta_hi, theta_d), p)
     res_i = optimize_regime(Mode.I, max(theta_lo, theta_d + REGIME_I_EPS), theta_hi, p)
-    if not res_a.feasible and not res_i.feasible:
+    winner = _winner(res_a, res_i)
+    if winner is None:
         raise InfeasibleError(
             f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] "
             f"(threshold {theta_d:g})"
         )
-    if not res_i.feasible:
-        winner = res_a
-    elif not res_a.feasible:
-        winner = res_i
-    else:
-        winner = res_a if res_a.cost.total <= res_i.cost.total else res_i
     return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=winner)
 
 
@@ -213,7 +218,5 @@ def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     the platform cost is the social cost; the reported theta is therefore 0.
     Ties break toward Mode A, then toward smaller N.
     """
-    res_a = optimize_regime(Mode.A, 0.0, 0.0, p)
-    res_i = optimize_regime(Mode.I, 0.0, 0.0, p)
-    win = res_a if res_a.cost.total <= res_i.cost.total else res_i
+    win = _winner(optimize_regime(Mode.A, 0.0, 0.0, p), optimize_regime(Mode.I, 0.0, 0.0, p))
     return win.best, win.cost

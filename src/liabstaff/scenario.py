@@ -76,7 +76,7 @@ def make_scenario(
         return ScenarioSpec(id="S3", theta_lo=theta_floor)
     if scenario_id == "S4":
         return ScenarioSpec(id="S4", objective="social")
-    raise ValueError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
+    raise ParameterError(f"unknown scenario {scenario_id!r}; valid: {', '.join(SCENARIO_IDS)}")
 
 
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
@@ -109,7 +109,7 @@ class ScenarioRow:
 def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[ScenarioRow]:
     """Run scenarios and tabulate totals relative to S1, ordered by id."""
     if not specs:
-        raise ValueError("need at least one scenario")
+        raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
     results = {s.id: run_scenario(s, p) for s in specs}
     s1 = results.get("S1")
     s1_total = s1.cost.total if s1 is not None and s1.feasible else None

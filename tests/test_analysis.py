@@ -202,6 +202,12 @@ def test_linspace_rejects_negative_count():
         linspace(0.0, 1.0, -1)
 
 
+@pytest.mark.parametrize("npoints", [0, -1])
+def test_figure_needs_one_point(npoints):
+    with pytest.raises(ParameterError, match="npoints must be at least 1"):
+        figure_data("fig2", BASELINE, npoints=npoints)
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(ValueError, match="unknown figure"):
         figure_data("fig9", BASELINE)

@@ -1,11 +1,19 @@
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from liabstaff import cli
+from liabstaff import BASELINE, cli
+
+from oracles import random_valid_params
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -256,13 +264,42 @@ def test_manifest_rerun_reproduces_csv(tmp_path: Path):
 def test_rerun_bad_manifest_exits_2(tmp_path: Path, capsys):
     bad = tmp_path / "bad.json"
     texts = ['{"argv": 5}', '{"argv": ["solve", 5]}', "[1]", "{}", "not json",
-             json.dumps({"argv": ["rerun", "--manifest", str(bad)]})]
+             json.dumps({"argv": ["rerun", "--manifest", str(bad)]}),
+             json.dumps({"argv": ["solve"], "params": 5})]
     assert cli.main(["rerun", "--manifest", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     for text in texts:
         bad.write_text(text)
         assert cli.main(["rerun", "--manifest", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rerun_refuses_parameters_other_than_recorded(tmp_path: Path, capsys, monkeypatch):
+    # a manifest written under $LIABSTAFF_CONFIG, rerun without it, and one
+    # written with --config, rerun after that file changed: both exit 2 and
+    # leave the CSV as it was
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("big_l = 4000\n")
+    env_out, flag_out = tmp_path / "env.csv", tmp_path / "flag.csv"
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
+    assert cli.main(["scenario", "--out", str(env_out)]) == 0
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR)
+    assert cli.main(["scenario", "--config", str(cfg), "--out", str(flag_out)]) == 0
+    cfg.write_text("big_l = 3000\n")
+    capsys.readouterr()
+    for out in (env_out, flag_out):
+        original = out.read_bytes()
+        assert cli.main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "other values of big_l than" in err
+        assert out.read_bytes() == original
+    cfg.write_text("big_l = 4000\n")
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
+    original = env_out.read_bytes()
+    assert cli.main(["rerun", "--manifest", str(env_out) + ".manifest.json"]) == 0
+    assert env_out.read_bytes() == original
 
 
 def test_large_offered_load_solves_and_over_limit_exits_2(tmp_path: Path):
@@ -334,3 +371,68 @@ def test_in_process_usage_error_after_success(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+# The exit-code contract under fuzzing: configs with calibrated, extreme and
+# non-finite values (lambda up to 1e6) drive every planning command in
+# process. Grids hold one or two points so that large offered loads stay fast.
+
+_ANY_FLOAT = st.floats()  # zero, negative, tiny, huge, inf and nan included
+_SHARE = st.one_of(st.floats(0.0, 1.0), _ANY_FLOAT)
+_CONFIG_KEYS = ["lambda" if f.name == "lam" else f.name for f in dataclasses.fields(BASELINE)]
+
+
+@st.composite
+def _configs(draw) -> dict:
+    """A random calibrated parameter set with lambda up to 1e6 and at most
+    two keys set to arbitrary floats."""
+    p = random_valid_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    config = dict(zip(_CONFIG_KEYS, dataclasses.astuple(p)))
+    config["lambda"] = draw(st.floats(1e-3, 1e6))
+    config.update(draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _ANY_FLOAT, max_size=2)))
+    return config
+
+
+def _grid(name: str, values=st.one_of(st.floats(0.0, 1e6), _ANY_FLOAT)):
+    return st.builds(
+        lambda lo, hi, n: f"{name}={lo!r}:{hi!r}:{n}", values, values, st.integers(0, 2)
+    )
+
+
+_ARGV = st.one_of(
+    st.builds(lambda lo, hi: ["solve", "--json", f"--theta-lo={lo!r}", f"--theta-hi={hi!r}"],
+              _SHARE, _SHARE),
+    st.just(["solve"]),
+    st.builds(lambda a, t: ["scenario", f"--alpha={a!r}", f"--theta-floor={t!r}"],
+              _SHARE, _SHARE),
+    st.just(["scenario"]),
+    st.builds(lambda grid: ["sweep", "--grid", grid],
+              st.sampled_from(["kappa", "c_n", "big_l", "q", "c_w", "lambda", "mu_a"]).flatmap(_grid)),
+    st.builds(lambda grid: ["welfare", "--grid", grid], _grid("big_l")),
+    st.builds(lambda lam, big_l: ["regime-map", "--grid", lam, "--grid", big_l],
+              _grid("lambda"), _grid("big_l")),
+    st.builds(lambda which, n: ["figure", "--which", which, "--npoints", str(n)],
+              st.sampled_from(cli.FIGURE_IDS), st.integers(0, 3)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=_configs(), argv=_ARGV)
+def test_exit_code_contract_under_fuzzed_configs(fuzz_config: Path, config, argv):
+    fuzz_config.write_text("".join(f"{key} = {value!r}\n" for key, value in config.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--config", str(fuzz_config)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith(("error: ", "usage: "))

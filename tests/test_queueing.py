@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liabstaff import UnstableError, erlang_c, min_staffing, queue_metrics
+from liabstaff import ParameterError, UnstableError, erlang_c, min_staffing, queue_metrics
+from liabstaff.queueing import MAX_OFFERED_LOAD
 
 from oracles import erlang_c_direct
 
@@ -80,3 +81,14 @@ def test_delay_prob_strictly_increasing_in_utilization():
     for n in (3, 6, 10, 15):
         delays = [erlang_c(n, rho * n) for rho in np.linspace(0.05, 0.98, 30)]
         assert all(a < b for a, b in zip(delays, delays[1:]))
+
+
+def test_offered_load_above_domain_limit_rejected():
+    # erlang_c and queue_metrics read the staffing search's level stream,
+    # which refuses such a load before its first Erlang B step
+    a = 1.5 * MAX_OFFERED_LOAD
+    n = 2 * int(a)
+    with pytest.raises(ParameterError, match="domain limit"):
+        erlang_c(n, a)
+    with pytest.raises(ParameterError, match="domain limit"):
+        queue_metrics(12.0 * a, 12.0, n)

@@ -6,6 +6,7 @@ import pytest
 from liabstaff import (
     BASELINE,
     Mode,
+    ParameterError,
     ScenarioSpec,
     compare_scenarios,
     make_scenario,
@@ -131,6 +132,13 @@ def test_compare_single_scenario_has_empty_gap_column():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         make_scenario("S9")
+    with pytest.raises(ParameterError, match="valid: S0, S1, S2, S3, S4"):
+        make_scenario("s1")
+
+
+def test_empty_scenario_list_rejected():
+    with pytest.raises(ParameterError, match="at least one scenario"):
+        compare_scenarios([], BASELINE)
 
 
 def test_bad_scenario_knobs_rejected():
