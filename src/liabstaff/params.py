@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ParameterError
-from .queueing import MAX_OFFERED_LOAD
+from .queueing import MAX_OFFERED_LOAD, min_staffing
 
 # The physician wage w has no calibrated value; it cancels out of every
 # mode-choice comparison, so any positive default is equivalent.
@@ -64,7 +64,9 @@ BASELINE = ModelParams()
 
 def validate(p: ModelParams) -> ModelParams:
     """Check every parameter is finite, as are the hourly loss and waiting
-    rates lam * big_l and lam * c_w, every ordering holds and the larger
+    rates lam * big_l and lam * c_w and the staffing and full-transfer
+    compliance costs c_n * n_I and kappa * n_I at regime I's minimum staffing
+    n_I = min_staffing(lam, mu_i), every ordering holds and the larger
     offered load lam / mu_i is within queueing.MAX_OFFERED_LOAD; return ``p``
     unchanged if all do.
 
@@ -79,6 +81,11 @@ def validate(p: ModelParams) -> ModelParams:
         for name, value in (("big_l", p.big_l), ("c_w", p.c_w)):
             if not math.isfinite(p.lam * value):
                 problems.append(f"lambda * {name} must be finite, got {p.lam * value!r}")
+        if p.lam > 0 and p.mu_i > 0:
+            n_i = min_staffing(p.lam, p.mu_i)
+            for name, value in (("c_n", p.c_n), ("kappa", p.kappa)):
+                if not math.isfinite(value * n_i):
+                    problems.append(f"{name} * n_I must be finite, got {value * n_i!r} at n_I = {n_i}")
     if not p.lam > 0:
         problems.append("lambda must be positive")
     if not p.mu_i > 0:

@@ -6,8 +6,13 @@ compliance cost of shifting liability. For fixed (N, mode) the cost is
 strictly convex in theta, so the per-regime optimum is a clamp of the
 unconstrained stationary point followed by a finite staffing enumeration.
 
-Scenario S0 (forced mode and share) and each mode of the social optimum S4
-(theta = 0) are instances of the one staffing search, ``optimize_regime``.
+Every optimum is found by the one staffing search, ``_search``, which runs on
+plain floats and returns a tuple; scenario S0 (forced mode and share) and each
+mode of the social optimum S4 (theta = 0) are instances of it. The public
+optimizers wrap its tuples into Policy, CostBreakdown and RegimeResult, and
+walk a fresh Erlang level stream per search; the scenario layer shares one
+replayable stream per mode among the searches of one call, never across calls,
+and builds objects only for the results it returns.
 """
 
 from __future__ import annotations
@@ -115,10 +120,14 @@ def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> floa
     return _share(n, err_prob, lo, hi, p.lam, p.big_l, p.kappa)
 
 
-def optimize_regime(
-    regime: Mode, theta_lo: float, theta_hi: float, p: ModelParams
-) -> RegimeResult:
-    """Minimize cost over stable staffing levels within one regime.
+def _search(
+    m: Mode, theta_lo: float, theta_hi: float, p: ModelParams, levels
+) -> tuple[int, int, int, float, float, float] | None:
+    """The staffing search of one mode on [theta_lo, theta_hi], on plain
+    floats: (n_lo, n_hi, N*, theta*, system time at N*, total at N*), or None
+    when the interval is empty. levels(offered_load) gives the mode's level
+    stream: _delay_probs itself, or a replayable _Levels that the searches of
+    one call share.
 
     Enumerates N upward from the smallest level erlang_c accepts, with theta
     at theta_optimal(N), and stops after level N once the bound
@@ -137,20 +146,17 @@ def optimize_regime(
     below rounding the bound is the next level's total, so the first level
     that does not lower the incumbent ends the search.
 
-    The search runs on plain floats: it reads the delay probability of each
-    level from queueing's one level stream, _delay_probs, and forms the system
-    time W_q + 1/mu as queue_metrics does. The parameter fields and mode_attrs
-    are read once, and theta_optimal(N+1), computed for the bound, is carried
-    to the next level. Policy, CostBreakdown and RegimeResult are built once,
-    for the winning level.
+    Each level's system time W_q + 1/mu is formed as queue_metrics does. The
+    parameter fields and mode_attrs are read once, and theta_optimal(N+1),
+    computed for the bound, is carried to the next level.
     """
     if theta_lo > theta_hi:
-        return RegimeResult(regime, False, None, None, None, None)
-    mu, err_prob, _ = mode_attrs(regime, p)
+        return None
+    mu, err_prob, _ = mode_attrs(m, p)
     lam, big_l, c_w, c_n, kappa = p.lam, p.big_l, p.c_w, p.c_n, p.kappa
     t_free = 1.0 / mu
     n_lo = best_n = best_theta = best_t = best_total = theta = None
-    for n, delay_prob in _delay_probs(lam / mu):
+    for n, delay_prob in levels(lam / mu):
         t_total = _wait(lam, mu, n, delay_prob) + t_free
         if n_lo is None:
             n_lo = n
@@ -162,22 +168,63 @@ def optimize_regime(
         bound = _terms(theta, n + 1, err_prob, t_free, lam, big_l, c_w, c_n, kappa)[4]
         if not bound < best_total:
             break
-    return RegimeResult(
-        regime=regime,
-        feasible=True,
-        best=Policy(theta=best_theta, n=best_n, mode=regime),
-        cost=_cost(best_theta, best_n, err_prob, best_t, p),
-        theta_unconstrained=_share(best_n, err_prob, -math.inf, math.inf, lam, big_l, kappa),
-        n_searched=(n_lo, n),
-    )
+    return n_lo, n, best_n, best_theta, best_t, best_total
 
 
-def _winner(res_a: RegimeResult, res_i: RegimeResult) -> RegimeResult | None:
-    """The feasible result of the lower total, Regime A on a tie (and only on
-    a tie); None when neither is feasible."""
-    if res_a.feasible and (not res_i.feasible or res_a.cost.total <= res_i.cost.total):
-        return res_a
-    return res_i if res_i.feasible else None
+def _found_cost(m: Mode, found: tuple, p: ModelParams) -> tuple[Policy, CostBreakdown]:
+    """The policy and cost breakdown of a search's optimum."""
+    _, _, n, theta, t_total, _ = found
+    return Policy(theta=theta, n=n, mode=m), _cost(theta, n, mode_attrs(m, p)[1], t_total, p)
+
+
+def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult:
+    """The RegimeResult of a search: infeasible for None."""
+    if found is None:
+        return RegimeResult(m, False, None, None, None, None)
+    n_lo, n_hi, n = found[:3]
+    unconstrained = _share(n, mode_attrs(m, p)[1], -math.inf, math.inf, p.lam, p.big_l, p.kappa)
+    return RegimeResult(m, True, *_found_cost(m, found, p), unconstrained, (n_lo, n_hi))
+
+
+def optimize_regime(
+    regime: Mode, theta_lo: float, theta_hi: float, p: ModelParams
+) -> RegimeResult:
+    """Minimize cost over stable staffing levels within one regime: the
+    staffing search _search on a fresh _delay_probs stream, with Policy,
+    CostBreakdown and RegimeResult built once, for the winning level."""
+    return _regime_result(regime, _search(regime, theta_lo, theta_hi, p, _delay_probs), p)
+
+
+def _winner(found_a: tuple | None, found_i: tuple | None) -> Mode | None:
+    """The regime whose search found the lower total, Mode A on a tie (and
+    only on a tie); None when neither interval was searched."""
+    if found_a is not None and (found_i is None or found_a[5] <= found_i[5]):
+        return Mode.A
+    return Mode.I if found_i is not None else None
+
+
+def _platform(
+    p: ModelParams, theta_lo: float, theta_hi: float, theta_d: float, levels
+) -> tuple[tuple | None, tuple | None, Mode]:
+    """The platform problem on [theta_lo, theta_hi] with threshold theta_d:
+    the searches of Regime A on [theta_lo, min(theta_hi, theta_d)] and of
+    Regime I on [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi], and the
+    winning regime. Raises InfeasibleError when both intervals are empty."""
+    found_a = _search(Mode.A, theta_lo, min(theta_hi, theta_d), p, levels)
+    found_i = _search(Mode.I, max(theta_lo, theta_d + REGIME_I_EPS), theta_hi, p, levels)
+    winner = _winner(found_a, found_i)
+    if winner is None:
+        raise InfeasibleError(
+            f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] "
+            f"(threshold {theta_d:g})"
+        )
+    return found_a, found_i, winner
+
+
+def _check_interval(theta_lo: float, theta_hi: float) -> None:
+    """Raise ParameterError unless 0 <= theta_lo <= theta_hi <= 1."""
+    if not 0.0 <= theta_lo <= theta_hi <= 1.0:
+        raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{theta_lo!r}, {theta_hi!r}]")
 
 
 def optimize_platform(
@@ -187,19 +234,12 @@ def optimize_platform(
 
     Regime A is searched on [theta_lo, min(theta_hi, theta_d)], Regime I on
     [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
+    Each search walks a fresh _delay_probs stream.
     """
-    if not 0.0 <= theta_lo <= theta_hi <= 1.0:
-        raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{theta_lo!r}, {theta_hi!r}]")
-    theta_d = threshold(p).theta_d
-    res_a = optimize_regime(Mode.A, theta_lo, min(theta_hi, theta_d), p)
-    res_i = optimize_regime(Mode.I, max(theta_lo, theta_d + REGIME_I_EPS), theta_hi, p)
-    winner = _winner(res_a, res_i)
-    if winner is None:
-        raise InfeasibleError(
-            f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] "
-            f"(threshold {theta_d:g})"
-        )
-    return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=winner)
+    _check_interval(theta_lo, theta_hi)
+    found_a, found_i, winner = _platform(p, theta_lo, theta_hi, threshold(p).theta_d, _delay_probs)
+    res_a, res_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
+    return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=res_a if winner is Mode.A else res_i)
 
 
 def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:
@@ -211,12 +251,19 @@ def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:
     return cost_breakdown(0.0, n, m, p)
 
 
+def _social(p: ModelParams, levels) -> tuple[Mode, tuple]:
+    """The social optimum as (mode, search): each mode searched on the share
+    interval [0, 0], Mode A on a tie."""
+    found_a = _search(Mode.A, 0.0, 0.0, p, levels)
+    found_i = _search(Mode.I, 0.0, 0.0, p, levels)
+    return (Mode.A, found_a) if _winner(found_a, found_i) is Mode.A else (Mode.I, found_i)
+
+
 def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     """Minimize the social objective over mode and stable staffing.
 
-    Each mode is solved by optimize_regime on the share interval [0, 0], where
-    the platform cost is the social cost; the reported theta is therefore 0.
-    Ties break toward Mode A, then toward smaller N.
+    Each mode is searched on the share interval [0, 0], where the platform
+    cost is the social cost; the reported theta is therefore 0. Ties break
+    toward Mode A, then toward smaller N.
     """
-    win = _winner(optimize_regime(Mode.A, 0.0, 0.0, p), optimize_regime(Mode.I, 0.0, 0.0, p))
-    return win.best, win.cost
+    return _found_cost(*_social(p, _delay_probs), p)

@@ -62,6 +62,28 @@ def _delay_probs(offered_load: float):
             yield n, b / (1.0 - rho * (1.0 - b))
 
 
+class _Levels:
+    """_delay_probs(offered_load), replayable: every iteration yields the
+    same (N, C) pairs, replaying the levels an earlier iteration reached and
+    running the recurrence only past the deepest of them. Iterations must not
+    interleave. Made by a caller for the searches of one call; it keeps every
+    level it has walked for as long as it lives."""
+
+    __slots__ = ("_walked", "_stream")
+
+    def __init__(self, offered_load: float):
+        self._walked: list[tuple[int, float]] = []
+        self._stream = _delay_probs(offered_load)
+
+    def __iter__(self):
+        yield from self._walked
+        # a for loop, not yield from: closing this iterator early must leave
+        # the shared stream open for the next iteration
+        for level in self._stream:
+            self._walked.append(level)
+            yield level
+
+
 def erlang_c(n: int, offered_load: float) -> float:
     """Probability an arrival waits in an M/M/N queue with offered load a:
     the level stream's value at level n."""

@@ -6,8 +6,13 @@ S2  minimum platform liability: theta <= 1 - alpha
 S3  minimum physician liability: theta >= theta_floor
 S4  social welfare benchmark: social objective, mode and N free
 
-S0 and S4 are instances of the staffing search optimize_regime: S0 on the
-share interval [0.5, 0.5] in Mode I, S4 on [0, 0] in each mode.
+Every scenario is solved by the one staffing search of platform_opt: S0 on
+the share interval [0.5, 0.5] in Mode I, S4 on [0, 0] in each mode, S1-S3 in
+both regimes on their induced-mode intervals. The specs of one
+compare_scenarios call share theta_d and one replayable Erlang level stream
+per mode, so each mode's levels are walked once per call; nothing is kept
+across calls. Policy and CostBreakdown are built only for the results that
+are returned.
 """
 
 from __future__ import annotations
@@ -16,14 +21,22 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
+from .physician import threshold
 from .platform_opt import (
     CostBreakdown,
     Policy,
-    cost_breakdown,  # noqa: F401  re-exported: prices any scenario policy
-    optimize_platform,
-    optimize_regime,
-    optimize_social,
+    _check_interval,
+    _found_cost,
+    _platform,
+    _search,
+    _social,
 )
+from .queueing import _Levels
+
+# Not called here: the scenarios are solved on the private search above. These
+# names stay importable from this module because the benchmark's tracer wraps
+# liabstaff.scenario.optimize_platform, .optimize_social and .cost_breakdown.
+from .platform_opt import cost_breakdown, optimize_platform, optimize_social  # noqa: F401
 
 SCENARIO_IDS = ("S0", "S1", "S2", "S3", "S4")
 
@@ -79,23 +92,64 @@ def make_scenario(
     raise ParameterError(f"unknown scenario {scenario_id!r}; valid: {', '.join(SCENARIO_IDS)}")
 
 
+class _CallState:
+    """What the specs of one call share: theta_d, computed on first use since
+    S0 and S4 do not need it, and one replayable level stream per offered
+    load, levels(offered_load)."""
+
+    __slots__ = ("p", "_theta_d", "_streams")
+
+    def __init__(self, p: ModelParams):
+        self.p = p
+        self._theta_d = None
+        self._streams: dict[float, _Levels] = {}
+
+    def theta_d(self) -> float:
+        if self._theta_d is None:
+            self._theta_d = threshold(self.p).theta_d
+        return self._theta_d
+
+    def levels(self, offered_load: float) -> _Levels:
+        stream = self._streams.get(offered_load)
+        if stream is None:
+            stream = self._streams[offered_load] = _Levels(offered_load)
+        return stream
+
+
+def _solve(spec: ScenarioSpec, state: _CallState) -> tuple[Mode, Mode | None, tuple] | str:
+    """One spec's optimum on plain floats: (mode, regime, search tuple), the
+    regime None when the mode is forced or moot; or, when the constraint set
+    is empty, the reason."""
+    p = state.p
+    if spec.objective == "social":
+        mode, found = _social(p, state.levels)
+        return mode, None, found
+    if spec.mode_forced is not None:
+        found = _search(spec.mode_forced, spec.theta_lo, spec.theta_hi, p, state.levels)
+        if found is None:
+            return f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
+        return spec.mode_forced, None, found
+    _check_interval(spec.theta_lo, spec.theta_hi)
+    try:
+        found_a, found_i, regime = _platform(p, spec.theta_lo, spec.theta_hi, state.theta_d(), state.levels)
+    except InfeasibleError as exc:
+        return str(exc)
+    return regime, regime, found_a if regime is Mode.A else found_i
+
+
+def _result(spec: ScenarioSpec, solved: tuple | str, p: ModelParams) -> ScenarioResult:
+    """The ScenarioResult of a solved spec."""
+    if isinstance(solved, str):
+        return ScenarioResult(spec.id, False, None, None, None, reason=solved)
+    mode, regime, found = solved
+    policy, cost = _found_cost(mode, found, p)
+    return ScenarioResult(spec.id, True, policy, cost, regime=regime)
+
+
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem; an empty constraint set
     gives an infeasible result that names it."""
-    if spec.objective == "social":
-        policy, cost = optimize_social(p)
-        return ScenarioResult(spec.id, True, policy, cost, regime=None)
-    if spec.mode_forced is not None:
-        res = optimize_regime(spec.mode_forced, spec.theta_lo, spec.theta_hi, p)
-        if not res.feasible:
-            reason = f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
-            return ScenarioResult(spec.id, False, None, None, None, reason=reason)
-        return ScenarioResult(spec.id, True, res.best, res.cost, regime=None)
-    try:
-        win = optimize_platform(p, spec.theta_lo, spec.theta_hi).winner
-    except InfeasibleError as exc:
-        return ScenarioResult(spec.id, False, None, None, None, reason=str(exc))
-    return ScenarioResult(spec.id, True, win.best, win.cost, regime=win.regime)
+    return _result(spec, _solve(spec, _CallState(p)), p)
 
 
 @dataclass(frozen=True)
@@ -107,10 +161,15 @@ class ScenarioRow:
 
 
 def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[ScenarioRow]:
-    """Run scenarios and tabulate totals relative to S1, ordered by id."""
+    """Run scenarios and tabulate totals relative to S1, ordered by id; of
+    specs sharing an id, the last one's result is returned. Every spec is
+    solved, on levels and a theta_d shared by the call, and results are built
+    only for the specs returned."""
     if not specs:
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
-    results = {s.id: run_scenario(s, p) for s in specs}
+    state = _CallState(p)
+    solved = {s.id: (s, _solve(s, state)) for s in specs}
+    results = {sid: _result(spec, solution, p) for sid, (spec, solution) in solved.items()}
     s1 = results.get("S1")
     s1_total = s1.cost.total if s1 is not None and s1.feasible else None
     rows = []

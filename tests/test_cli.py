@@ -92,9 +92,10 @@ def test_solve_bad_config_reports_line(tmp_path: Path):
     assert cp.returncode == 2
     assert "line 2" in cp.stderr
     # a value that is not finite, or finite values whose hourly loss or
-    # waiting rate, lambda * big_l or lambda * c_w, overflows
+    # waiting rate, lambda * big_l or lambda * c_w, overflows, or whose
+    # staffing or compliance cost at regime I's minimum staffing does
     for text in ("lambda = inf\n", "big_l = 1e308\n", "big_l = 1e308\nkappa = 1e308\n",
-                 "c_w = 1e308\n"):
+                 "c_w = 1e308\n", "c_n = 1e308\n", "kappa = 1e308\n"):
         cfg.write_text(text)
         for command in ("solve", "scenario"):
             cp = run_cli(command, "--config", str(cfg))

@@ -2,18 +2,29 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liabstaff import (
     BASELINE,
     Mode,
     ParameterError,
+    ScenarioResult,
     ScenarioSpec,
     compare_scenarios,
     make_scenario,
     run_scenario,
 )
+from liabstaff.physician import threshold
+from liabstaff.platform_opt import REGIME_I_EPS
 
-from oracles import random_valid_params
+from oracles import (
+    brute_force_platform,
+    brute_force_regime,
+    brute_force_social,
+    optimize_regime_per_level,
+    random_valid_params,
+)
 
 
 def run(sid, p=BASELINE, **kw):
@@ -146,3 +157,101 @@ def test_bad_scenario_knobs_rejected():
         make_scenario("S2", alpha=1.5)
     with pytest.raises(ValueError):
         make_scenario("S3", theta_floor=0.0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    theta_floor=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_scenarios_match_brute_force_oracles(seed, alpha, theta_floor):
+    p = random_valid_params(np.random.default_rng(seed))
+    specs = [make_scenario(sid, alpha=alpha, theta_floor=theta_floor) for sid in ("S0", "S1", "S2", "S3", "S4")]
+    by_id = {row.result.id: row.result for row in compare_scenarios(specs, p)}
+    theta_d = threshold(p).theta_d
+    for spec in specs[1:4]:
+        res = by_id[spec.id]
+        lo, hi = spec.theta_lo, spec.theta_hi
+        if lo > min(hi, theta_d) and max(lo, theta_d + REGIME_I_EPS) > hi:
+            assert not res.feasible and "no feasible policy" in res.reason
+            continue
+        mode, theta, n, total = brute_force_platform(p, lo, hi)
+        assert (res.regime, res.policy.mode, res.policy.n) == (mode, mode, n), spec.id
+        assert abs(res.policy.theta - theta) <= (hi - lo) / 2000
+        # exact in theta, so never above the grid's minimum
+        assert res.cost.total <= total + 1e-9 * total
+    s0 = by_id["S0"]
+    theta, n, total = brute_force_regime(Mode.I, 0.5, 0.5, p)
+    assert (s0.policy.mode, s0.policy.theta, s0.policy.n) == (Mode.I, theta, n)
+    assert s0.cost.total == pytest.approx(total, rel=1e-9)
+    s4 = by_id["S4"]
+    mode, n, total = brute_force_social(p)
+    assert (s4.policy.mode, s4.policy.theta, s4.policy.n) == (mode, 0.0, n)
+    assert s4.cost.total == pytest.approx(total, rel=1e-9)
+
+
+def _per_level_result(spec: ScenarioSpec, p) -> ScenarioResult:
+    """One spec's result assembled from the per-level reference search."""
+    if spec.objective == "social":
+        res_a, res_i = (optimize_regime_per_level(m, 0.0, 0.0, p) for m in (Mode.A, Mode.I))
+        win = res_a if res_a.cost.total <= res_i.cost.total else res_i
+        return ScenarioResult(spec.id, True, win.best, win.cost, None)
+    if spec.mode_forced is not None:
+        res = optimize_regime_per_level(spec.mode_forced, spec.theta_lo, spec.theta_hi, p)
+        return ScenarioResult(spec.id, True, res.best, res.cost, None)
+    theta_d = threshold(p).theta_d
+    lo, hi = spec.theta_lo, spec.theta_hi
+    feasible = [
+        res for res in (
+            optimize_regime_per_level(Mode.A, lo, min(hi, theta_d), p),
+            optimize_regime_per_level(Mode.I, max(lo, theta_d + REGIME_I_EPS), hi, p),
+        )
+        if res.feasible
+    ]
+    if not feasible:
+        reason = f"no feasible policy in [{lo:g}, {hi:g}] (threshold {theta_d:g})"
+        return ScenarioResult(spec.id, False, None, None, None, reason=reason)
+    win = min(feasible, key=lambda res: res.cost.total)  # the first, Regime A, on a tie
+    return ScenarioResult(spec.id, True, win.best, win.cost, win.regime)
+
+
+@pytest.mark.parametrize(
+    "p, specs",
+    [
+        (BASELINE, [make_scenario(sid) for sid in ("S0", "S1", "S2", "S3", "S4")]),
+        (dataclasses.replace(BASELINE, lam=5000.0), [make_scenario(sid) for sid in ("S4", "S3", "S2", "S1", "S0")]),
+        # theta_d = 15: regime I is empty in S1-S3
+        (dataclasses.replace(BASELINE, big_l=80.0), [make_scenario(sid) for sid in ("S1", "S2", "S3", "S0", "S4")]),
+        # a floor above theta_d = 0.6: S3 has no regime A
+        (BASELINE, [make_scenario("S3", theta_floor=0.7), make_scenario("S1"), make_scenario("S0")]),
+        # no S1, so no pct_vs_s1; an empty platform interval just above theta_d
+        (BASELINE, [make_scenario("S4"), make_scenario("S2", alpha=0.2), ScenarioSpec("X", 0.6000001, 0.6000005)]),
+        # a duplicate id: the last spec of an id is the one returned
+        (BASELINE, [make_scenario("S3", theta_floor=0.7), make_scenario("S1"), make_scenario("S3", theta_floor=0.1)]),
+    ],
+)
+def test_compare_rows_equal_per_spec_and_per_level_results(p, specs):
+    rows = compare_scenarios(specs, p)
+    last = {spec.id: spec for spec in specs}
+    assert [row.result.id for row in rows] == sorted(last)
+    expected = {sid: _per_level_result(spec, p) for sid, spec in last.items()}
+    s1 = expected.get("S1")
+    for row in rows:
+        res = row.result
+        assert res == run_scenario(last[res.id], p) == expected[res.id]
+        pct = None
+        if s1 is not None and res.feasible:
+            pct = 100.0 * (res.cost.total - s1.cost.total) / s1.cost.total
+        assert row.pct_vs_s1 == pct
+    if "S1" not in last:
+        assert all(row.pct_vs_s1 is None for row in rows)
+
+
+@pytest.mark.parametrize("ids", [("S0", "S1", "S4"), ("S4", "S1", "S0"), ("S1", "S4"), ("S4",)])
+def test_compare_rejects_unvalidated_offered_load(ids):
+    # regime I's offered load, 1.67e6, is above the domain limit; regime A's,
+    # 1e4, is walked first by S1 and S4
+    p = dataclasses.replace(BASELINE, lam=1e7, mu_a=1e3)
+    with pytest.raises(ParameterError, match="exceeds the domain limit"):
+        compare_scenarios([make_scenario(sid) for sid in ids], p)
