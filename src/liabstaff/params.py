@@ -81,7 +81,8 @@ def validate(p: ModelParams) -> ModelParams:
         for name, value in (("big_l", p.big_l), ("c_w", p.c_w)):
             if not math.isfinite(p.lam * value):
                 problems.append(f"lambda * {name} must be finite, got {p.lam * value!r}")
-        if p.lam > 0 and p.mu_i > 0:
+        # min_staffing needs lam / mu_i finite; a larger load is reported below
+        if p.lam > 0 and p.mu_i > 0 and p.lam / p.mu_i <= MAX_OFFERED_LOAD:
             n_i = min_staffing(p.lam, p.mu_i)
             for name, value in (("c_n", p.c_n), ("kappa", p.kappa)):
                 if not math.isfinite(value * n_i):

@@ -31,7 +31,7 @@ from .platform_opt import (
     _search,
     _social,
 )
-from .queueing import _Levels
+from .queueing import _delay_probs, _Levels
 
 # Not called here: the scenarios are solved on the private search above. These
 # names stay importable from this module because the benchmark's tracer wraps
@@ -92,46 +92,30 @@ def make_scenario(
     raise ParameterError(f"unknown scenario {scenario_id!r}; valid: {', '.join(SCENARIO_IDS)}")
 
 
-class _CallState:
-    """What the specs of one call share: theta_d, computed on first use since
-    S0 and S4 do not need it, and one replayable level stream per offered
-    load, levels(offered_load)."""
-
-    __slots__ = ("p", "_theta_d", "_streams")
-
-    def __init__(self, p: ModelParams):
-        self.p = p
-        self._theta_d = None
-        self._streams: dict[float, _Levels] = {}
-
-    def theta_d(self) -> float:
-        if self._theta_d is None:
-            self._theta_d = threshold(self.p).theta_d
-        return self._theta_d
-
-    def levels(self, offered_load: float) -> _Levels:
-        stream = self._streams.get(offered_load)
-        if stream is None:
-            stream = self._streams[offered_load] = _Levels(offered_load)
-        return stream
+def _free(spec: ScenarioSpec) -> bool:
+    """Whether the spec's mode is the physician's response to theta, so that
+    its search needs the threshold theta_d."""
+    return spec.objective != "social" and spec.mode_forced is None
 
 
-def _solve(spec: ScenarioSpec, state: _CallState) -> tuple[Mode, Mode | None, tuple] | str:
+def _solve(
+    spec: ScenarioSpec, p: ModelParams, theta_d: float | None, levels
+) -> tuple[Mode, Mode | None, tuple] | str:
     """One spec's optimum on plain floats: (mode, regime, search tuple), the
     regime None when the mode is forced or moot; or, when the constraint set
-    is empty, the reason."""
-    p = state.p
+    is empty, the reason. theta_d is read only when _free(spec), and
+    levels(offered_load) gives each mode's level stream."""
     if spec.objective == "social":
-        mode, found = _social(p, state.levels)
+        mode, found = _social(p, levels)
         return mode, None, found
     if spec.mode_forced is not None:
-        found = _search(spec.mode_forced, spec.theta_lo, spec.theta_hi, p, state.levels)
+        found = _search(spec.mode_forced, spec.theta_lo, spec.theta_hi, p, levels)
         if found is None:
             return f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
         return spec.mode_forced, None, found
     _check_interval(spec.theta_lo, spec.theta_hi)
     try:
-        found_a, found_i, regime = _platform(p, spec.theta_lo, spec.theta_hi, state.theta_d(), state.levels)
+        found_a, found_i, regime = _platform(p, spec.theta_lo, spec.theta_hi, theta_d, levels)
     except InfeasibleError as exc:
         return str(exc)
     return regime, regime, found_a if regime is Mode.A else found_i
@@ -149,7 +133,8 @@ def _result(spec: ScenarioSpec, solved: tuple | str, p: ModelParams) -> Scenario
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem; an empty constraint set
     gives an infeasible result that names it."""
-    return _result(spec, _solve(spec, _CallState(p)), p)
+    theta_d = threshold(p).theta_d if _free(spec) else None
+    return _result(spec, _solve(spec, p, theta_d, _delay_probs), p)
 
 
 @dataclass(frozen=True)
@@ -167,8 +152,16 @@ def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[Scenari
     only for the specs returned."""
     if not specs:
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
-    state = _CallState(p)
-    solved = {s.id: (s, _solve(s, state)) for s in specs}
+    theta_d = threshold(p).theta_d if any(_free(s) for s in specs) else None
+    streams: dict[float, _Levels] = {}
+
+    def levels(offered_load: float) -> _Levels:
+        stream = streams.get(offered_load)
+        if stream is None:
+            stream = streams[offered_load] = _Levels(offered_load)
+        return stream
+
+    solved = {s.id: (s, _solve(s, p, theta_d, levels)) for s in specs}
     results = {sid: _result(spec, solution, p) for sid, (spec, solution) in solved.items()}
     s1 = results.get("S1")
     s1_total = s1.cost.total if s1 is not None and s1.feasible else None

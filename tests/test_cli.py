@@ -101,6 +101,12 @@ def test_solve_bad_config_reports_line(tmp_path: Path):
             cp = run_cli(command, "--config", str(cfg))
             assert_usage_error(cp)
             assert "must be finite" in cp.stderr
+    # lambda / mu_i overflows to inf: reported as over the offered-load limit
+    cfg.write_text("mu_i = 1e-307\n")
+    for command in ("solve", "scenario"):
+        cp = run_cli(command, "--config", str(cfg))
+        assert_usage_error(cp)
+        assert "offered-load limit" in cp.stderr
 
 
 def test_solve_infeasible_interval_exits_1(tmp_path: Path):
