@@ -30,11 +30,17 @@ def physician_utility(m: Mode, theta: float, p: ModelParams) -> float:
     return p.w - disutility - theta * p.big_l * err_prob
 
 
+def _theta_d(p: ModelParams) -> float:
+    """The indifference share (k_i - k_a) / (L (h - q)), without the
+    sensitivities of threshold()."""
+    return (p.k_i - p.k_a) / (p.big_l * (p.h - p.q))
+
+
 def threshold(p: ModelParams) -> ThresholdReport:
     """Liability share at which the two modes yield equal utility."""
     delta_k = p.k_i - p.k_a
     gap = p.h - p.q
-    theta_d = delta_k / (p.big_l * gap)
+    theta_d = _theta_d(p)
     slope = delta_k / (p.big_l * gap * gap)
     return ThresholdReport(
         theta_d=theta_d,
@@ -49,4 +55,4 @@ def best_response(theta: float, p: ModelParams) -> Mode:
     """Mode A for theta at or below the threshold, Mode I above it."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    return Mode.A if theta <= threshold(p).theta_d else Mode.I
+    return Mode.A if theta <= _theta_d(p) else Mode.I

@@ -6,13 +6,15 @@ compliance cost of shifting liability. For fixed (N, mode) the cost is
 strictly convex in theta, so the per-regime optimum is a clamp of the
 unconstrained stationary point followed by a finite staffing enumeration.
 
-Every optimum is found by the one staffing search, ``_search``, which runs on
-plain floats and returns a tuple; scenario S0 (forced mode and share) and each
-mode of the social optimum S4 (theta = 0) are instances of it. The public
-optimizers wrap its tuples into Policy, CostBreakdown and RegimeResult, and
-walk a fresh Erlang level stream per search; the scenario layer shares one
-replayable stream per mode among the searches of one call, never across calls,
-and builds objects only for the results it returns.
+Every optimum is found by the one staffing kernel, ``_search``, which runs on
+plain floats: given a mode and a list of share intervals, it walks the mode's
+Erlang levels once and returns one search tuple per interval. Scenario S0
+(forced mode and share) and each mode of the social optimum S4 (theta = 0)
+are instances of it. The public optimizers call it with one interval per
+mode and wrap its tuples into Policy, CostBreakdown and RegimeResult; the
+scenario layer calls it once per mode with the intervals of all its specs
+and builds objects only for the results it returns. Nothing is kept across
+calls.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams, mode_attrs
-from .physician import threshold
-from .queueing import _delay_probs, _wait, queue_metrics
+from .physician import _theta_d
+from .queueing import _delay_probs, queue_metrics
 
 # Lowest liability share that still induces independent mode; the regime-I
 # interval is open at the threshold, so the search closes it at this offset.
@@ -67,25 +69,16 @@ class PlatformSolution:
     winner: RegimeResult
 
 
-def _terms(
-    theta: float, n: int, err_prob: float, t_total: float,
-    lam: float, big_l: float, c_w: float, c_n: float, kappa: float,
-) -> tuple[float, float, float, float, float]:
-    """(risk, congestion, staffing, compliance, total) as plain floats, from
-    the fields lam, big_l, c_w, c_n and kappa of the parameter set."""
-    risk = lam * (1.0 - theta) * big_l * err_prob
-    congestion = lam * c_w * t_total
-    staffing = c_n * n
-    compliance = kappa * theta * theta * n
-    return risk, congestion, staffing, compliance, risk + congestion + staffing + compliance
-
-
 def _cost(theta: float, n: int, err_prob: float, t_total: float, p: ModelParams) -> CostBreakdown:
     """The four cost components at share theta, N servers, the mode's error
     probability and the expected system time t_total."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    return CostBreakdown(*_terms(theta, n, err_prob, t_total, p.lam, p.big_l, p.c_w, p.c_n, p.kappa))
+    risk = p.lam * (1.0 - theta) * p.big_l * err_prob
+    congestion = p.lam * p.c_w * t_total
+    staffing = p.c_n * n
+    compliance = p.kappa * theta * theta * n
+    return CostBreakdown(risk, congestion, staffing, compliance, risk + congestion + staffing + compliance)
 
 
 def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdown:
@@ -93,14 +86,6 @@ def cost_breakdown(theta: float, n: int, m: Mode, p: ModelParams) -> CostBreakdo
     UnstableError, naming min_staffing, when n is below it."""
     mu, err_prob, _ = mode_attrs(m, p)
     return _cost(theta, n, err_prob, queue_metrics(p.lam, mu, n).t_total, p)
-
-
-def _share(
-    n: int, err_prob: float, lo: float, hi: float, lam: float, big_l: float, kappa: float
-) -> float:
-    """theta_optimal on plain floats: the clamp to [lo, hi] of the stationary
-    point lam L P_m / (2 kappa N) of the cost in theta."""
-    return min(max(lam * big_l * err_prob / (2.0 * kappa * n), lo), hi)
 
 
 def theta_unconstrained(m: Mode, n: int, p: ModelParams) -> float:
@@ -117,20 +102,19 @@ def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> floa
     if n < 1:
         raise ValueError("n must be at least 1")
     _, err_prob, _ = mode_attrs(m, p)
-    return _share(n, err_prob, lo, hi, p.lam, p.big_l, p.kappa)
+    return min(max(p.lam * p.big_l * err_prob / (2.0 * p.kappa * n), lo), hi)
 
 
 def _search(
-    m: Mode, theta_lo: float, theta_hi: float, p: ModelParams, levels
-) -> tuple[int, int, int, float, float, float] | None:
-    """The staffing search of one mode on [theta_lo, theta_hi], on plain
-    floats: (n_lo, n_hi, N*, theta*, system time at N*, total at N*), or None
-    when the interval is empty. levels(offered_load) gives the mode's level
-    stream: _delay_probs itself, or a replayable _Levels that the searches of
-    one call share.
+    m: Mode, intervals: list[tuple[float, float]], p: ModelParams
+) -> list[tuple[int, int, int, float, float, float] | None]:
+    """The staffing searches of one mode, one per share interval
+    [theta_lo, theta_hi] in intervals, on plain floats: for each, in order,
+    (n_lo, n_hi, N*, theta*, system time at N*, total at N*), or None when
+    the interval is empty.
 
-    Enumerates N upward from the smallest level erlang_c accepts, with theta
-    at theta_optimal(N), and stops after level N once the bound
+    Each search enumerates N upward from the smallest level erlang_c accepts,
+    with theta at theta_optimal(N), and stops after level N once the bound
 
         f(N+1) + lam c_w / mu + c_n (N+1)
 
@@ -146,29 +130,50 @@ def _search(
     below rounding the bound is the next level's total, so the first level
     that does not lower the incumbent ends the search.
 
-    Each level's system time W_q + 1/mu is formed as queue_metrics does. The
-    parameter fields and mode_attrs are read once, and theta_optimal(N+1),
-    computed for the bound, is carried to the next level.
+    The parameter fields and mode_attrs are read once per call. Levels are
+    pulled from one _delay_probs stream, first when a non-empty interval is
+    searched and then only past the deepest level reached, into a list of
+    system times W_q + 1/mu, each formed once as queue_metrics forms it; each
+    interval's search then runs to its stop level over that list. Totals and
+    shares are formed as _cost and theta_optimal form them, the min/max clamp
+    written as the comparisons those builtins make, so every tuple is
+    bit-identical to one built from those functions. A level's share, risk,
+    staffing and compliance serve both its bound and its total.
     """
-    if theta_lo > theta_hi:
-        return None
     mu, err_prob, _ = mode_attrs(m, p)
     lam, big_l, c_w, c_n, kappa = p.lam, p.big_l, p.c_w, p.c_n, p.kappa
     t_free = 1.0 / mu
-    n_lo = best_n = best_theta = best_t = best_total = theta = None
-    for n, delay_prob in levels(lam / mu):
-        t_total = _wait(lam, mu, n, delay_prob) + t_free
-        if n_lo is None:
-            n_lo = n
-            theta = _share(n, err_prob, theta_lo, theta_hi, lam, big_l, kappa)
-        total = _terms(theta, n, err_prob, t_total, lam, big_l, c_w, c_n, kappa)[4]
-        if best_n is None or total < best_total:
-            best_n, best_theta, best_t, best_total = n, theta, t_total, total
-        theta = _share(n + 1, err_prob, theta_lo, theta_hi, lam, big_l, kappa)
-        bound = _terms(theta, n + 1, err_prob, t_free, lam, big_l, c_w, c_n, kappa)[4]
-        if not bound < best_total:
-            break
-    return n_lo, n, best_n, best_theta, best_t, best_total
+    # theta_unconstrained(N) is stationary / (two_kappa * N)
+    stationary, two_kappa, rate_c_w = lam * big_l * err_prob, 2.0 * kappa, lam * c_w
+    free_congestion = rate_c_w * t_free
+    levels = times = n_lo = None
+    found = []
+    for theta_lo, theta_hi in intervals:
+        if theta_lo > theta_hi:
+            found.append(None)
+            continue
+        if levels is None:
+            levels = _delay_probs(lam / mu)
+            n_lo, delay_prob = next(levels)
+            times = [delay_prob / (n_lo * mu - lam) + t_free]
+        n, best_n = n_lo, None
+        while True:
+            theta = stationary / (two_kappa * n)
+            theta = theta_lo if theta_lo > theta else theta
+            theta = theta_hi if theta_hi < theta else theta
+            risk = lam * (1.0 - theta) * big_l * err_prob
+            staffing, compliance = c_n * n, kappa * theta * theta * n
+            if best_n is not None and not risk + free_congestion + staffing + compliance < best_total:
+                break
+            k = n - n_lo
+            if k == len(times):
+                times.append(next(levels)[1] / (n * mu - lam) + t_free)
+            total = risk + rate_c_w * times[k] + staffing + compliance
+            if best_n is None or total < best_total:
+                best_n, best_theta, best_t, best_total = n, theta, times[k], total
+            n += 1
+        found.append((n_lo, n - 1, best_n, best_theta, best_t, best_total))
+    return found
 
 
 def _found_cost(m: Mode, found: tuple, p: ModelParams) -> tuple[Policy, CostBreakdown]:
@@ -182,7 +187,7 @@ def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult
     if found is None:
         return RegimeResult(m, False, None, None, None, None)
     n_lo, n_hi, n = found[:3]
-    unconstrained = _share(n, mode_attrs(m, p)[1], -math.inf, math.inf, p.lam, p.big_l, p.kappa)
+    unconstrained = p.lam * p.big_l * mode_attrs(m, p)[1] / (2.0 * p.kappa * n)  # theta_unconstrained
     return RegimeResult(m, True, *_found_cost(m, found, p), unconstrained, (n_lo, n_hi))
 
 
@@ -190,9 +195,9 @@ def optimize_regime(
     regime: Mode, theta_lo: float, theta_hi: float, p: ModelParams
 ) -> RegimeResult:
     """Minimize cost over stable staffing levels within one regime: the
-    staffing search _search on a fresh _delay_probs stream, with Policy,
-    CostBreakdown and RegimeResult built once, for the winning level."""
-    return _regime_result(regime, _search(regime, theta_lo, theta_hi, p, _delay_probs), p)
+    staffing search _search on the one interval, with Policy, CostBreakdown
+    and RegimeResult built once, for the winning level."""
+    return _regime_result(regime, _search(regime, [(theta_lo, theta_hi)], p)[0], p)
 
 
 def _winner(found_a: tuple | None, found_i: tuple | None) -> Mode | None:
@@ -203,22 +208,16 @@ def _winner(found_a: tuple | None, found_i: tuple | None) -> Mode | None:
     return Mode.I if found_i is not None else None
 
 
-def _platform(
-    p: ModelParams, theta_lo: float, theta_hi: float, theta_d: float, levels
-) -> tuple[tuple | None, tuple | None, Mode]:
-    """The platform problem on [theta_lo, theta_hi] with threshold theta_d:
-    the searches of Regime A on [theta_lo, min(theta_hi, theta_d)] and of
-    Regime I on [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi], and the
-    winning regime. Raises InfeasibleError when both intervals are empty."""
-    found_a = _search(Mode.A, theta_lo, min(theta_hi, theta_d), p, levels)
-    found_i = _search(Mode.I, max(theta_lo, theta_d + REGIME_I_EPS), theta_hi, p, levels)
-    winner = _winner(found_a, found_i)
-    if winner is None:
-        raise InfeasibleError(
-            f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] "
-            f"(threshold {theta_d:g})"
-        )
-    return found_a, found_i, winner
+def _regime_intervals(theta_lo: float, theta_hi: float, theta_d: float) -> tuple[tuple, tuple]:
+    """The share intervals of Regime A, [theta_lo, min(theta_hi, theta_d)],
+    and of Regime I, [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]: the
+    shares of [theta_lo, theta_hi] that induce each mode at threshold theta_d."""
+    return (theta_lo, min(theta_hi, theta_d)), (max(theta_lo, theta_d + REGIME_I_EPS), theta_hi)
+
+
+def _no_policy(theta_lo: float, theta_hi: float, theta_d: float) -> str:
+    """Why the platform problem has no solution: both regime intervals are empty."""
+    return f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] (threshold {theta_d:g})"
 
 
 def _check_interval(theta_lo: float, theta_hi: float) -> None:
@@ -234,10 +233,15 @@ def optimize_platform(
 
     Regime A is searched on [theta_lo, min(theta_hi, theta_d)], Regime I on
     [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
-    Each search walks a fresh _delay_probs stream.
+    Raises InfeasibleError when both intervals are empty.
     """
     _check_interval(theta_lo, theta_hi)
-    found_a, found_i, winner = _platform(p, theta_lo, theta_hi, threshold(p).theta_d, _delay_probs)
+    theta_d = _theta_d(p)
+    interval_a, interval_i = _regime_intervals(theta_lo, theta_hi, theta_d)
+    (found_a,), (found_i,) = _search(Mode.A, [interval_a], p), _search(Mode.I, [interval_i], p)
+    winner = _winner(found_a, found_i)
+    if winner is None:
+        raise InfeasibleError(_no_policy(theta_lo, theta_hi, theta_d))
     res_a, res_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
     return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=res_a if winner is Mode.A else res_i)
 
@@ -251,14 +255,6 @@ def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:
     return cost_breakdown(0.0, n, m, p)
 
 
-def _social(p: ModelParams, levels) -> tuple[Mode, tuple]:
-    """The social optimum as (mode, search): each mode searched on the share
-    interval [0, 0], Mode A on a tie."""
-    found_a = _search(Mode.A, 0.0, 0.0, p, levels)
-    found_i = _search(Mode.I, 0.0, 0.0, p, levels)
-    return (Mode.A, found_a) if _winner(found_a, found_i) is Mode.A else (Mode.I, found_i)
-
-
 def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     """Minimize the social objective over mode and stable staffing.
 
@@ -266,4 +262,6 @@ def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     cost is the social cost; the reported theta is therefore 0. Ties break
     toward Mode A, then toward smaller N.
     """
-    return _found_cost(*_social(p, _delay_probs), p)
+    (found_a,), (found_i,) = _search(Mode.A, [(0.0, 0.0)], p), _search(Mode.I, [(0.0, 0.0)], p)
+    mode = _winner(found_a, found_i)
+    return _found_cost(mode, found_a if mode is Mode.A else found_i, p)

@@ -1,5 +1,10 @@
-"""M/M/N performance measures: delay probability, waits, minimum staffing;
-every delay probability is read from the one Erlang level stream _delay_probs."""
+"""M/M/N performance measures: delay probability, waits, minimum staffing.
+
+Every delay probability comes from the one Erlang level stream,
+_delay_probs, which runs the Erlang B recurrence upward from one server:
+erlang_c and queue_metrics read one level of a fresh stream, and the
+staffing kernel platform_opt._search pulls levels from one stream per mode
+and call, as deep as its searches need."""
 
 from __future__ import annotations
 
@@ -60,28 +65,6 @@ def _delay_probs(offered_load: float):
         rho = offered_load / n
         if rho <= _RHO_CEILING:
             yield n, b / (1.0 - rho * (1.0 - b))
-
-
-class _Levels:
-    """_delay_probs(offered_load), replayable: every iteration yields the
-    same (N, C) pairs, replaying the levels an earlier iteration reached and
-    running the recurrence only past the deepest of them. Iterations must not
-    interleave. Made by a caller for the searches of one call; it keeps every
-    level it has walked for as long as it lives."""
-
-    __slots__ = ("_walked", "_stream")
-
-    def __init__(self, offered_load: float):
-        self._walked: list[tuple[int, float]] = []
-        self._stream = _delay_probs(offered_load)
-
-    def __iter__(self):
-        yield from self._walked
-        # a for loop, not yield from: closing this iterator early must leave
-        # the shared stream open for the next iteration
-        for level in self._stream:
-            self._walked.append(level)
-            yield level
 
 
 def erlang_c(n: int, offered_load: float) -> float:

@@ -6,10 +6,10 @@ S2  minimum platform liability: theta <= 1 - alpha
 S3  minimum physician liability: theta >= theta_floor
 S4  social welfare benchmark: social objective, mode and N free
 
-Every scenario is solved by the one staffing search of platform_opt: S0 on
+Every scenario is solved by the one staffing kernel of platform_opt: S0 on
 the share interval [0.5, 0.5] in Mode I, S4 on [0, 0] in each mode, S1-S3 in
-both regimes on their induced-mode intervals. The specs of one
-compare_scenarios call share theta_d and one replayable Erlang level stream
+both regimes on their induced-mode intervals. A call gathers the intervals of
+all its specs per mode, reads theta_d at most once, and makes one kernel call
 per mode, so each mode's levels are walked once per call; nothing is kept
 across calls. Policy and CostBreakdown are built only for the results that
 are returned.
@@ -19,19 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, ParameterError
+from .errors import ParameterError
 from .params import Mode, ModelParams
-from .physician import threshold
+from .physician import _theta_d
 from .platform_opt import (
     CostBreakdown,
     Policy,
     _check_interval,
     _found_cost,
-    _platform,
+    _no_policy,
+    _regime_intervals,
     _search,
-    _social,
+    _winner,
 )
-from .queueing import _delay_probs, _Levels
 
 # Not called here: the scenarios are solved on the private search above. These
 # names stay importable from this module because the benchmark's tracer wraps
@@ -98,27 +98,45 @@ def _free(spec: ScenarioSpec) -> bool:
     return spec.objective != "social" and spec.mode_forced is None
 
 
-def _solve(
-    spec: ScenarioSpec, p: ModelParams, theta_d: float | None, levels
-) -> tuple[Mode, Mode | None, tuple] | str:
-    """One spec's optimum on plain floats: (mode, regime, search tuple), the
-    regime None when the mode is forced or moot; or, when the constraint set
-    is empty, the reason. theta_d is read only when _free(spec), and
-    levels(offered_load) gives each mode's level stream."""
+def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple | None, tuple | None]:
+    """The share intervals the spec searches in Mode A and in Mode I, None
+    for a mode it does not search: [0, 0] in both for the social objective,
+    its own interval in a forced mode, else its induced-mode intervals at
+    theta_d, which is read only when _free(spec)."""
     if spec.objective == "social":
-        mode, found = _social(p, levels)
-        return mode, None, found
+        return (0.0, 0.0), (0.0, 0.0)
+    interval = (spec.theta_lo, spec.theta_hi)
     if spec.mode_forced is not None:
-        found = _search(spec.mode_forced, spec.theta_lo, spec.theta_hi, p, levels)
+        return (interval, None) if spec.mode_forced is Mode.A else (None, interval)
+    _check_interval(*interval)
+    return _regime_intervals(spec.theta_lo, spec.theta_hi, theta_d)
+
+
+def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[Mode, Mode | None, tuple] | str]:
+    """Each spec's optimum on plain floats: (mode, regime, search tuple), the
+    regime None when the mode is forced or moot; or, when the constraint set
+    is empty, the reason. One kernel call per mode searches the intervals of
+    every spec, and a mode none of them searches is not walked."""
+    theta_d = _theta_d(p) if any(_free(s) for s in specs) else None
+    wanted = [_intervals(s, theta_d) for s in specs]
+    found_a = iter(_search(Mode.A, [a for a, _ in wanted if a is not None], p))
+    found_i = iter(_search(Mode.I, [i for _, i in wanted if i is not None], p))
+    solved = []
+    for spec, (a, i) in zip(specs, wanted):
+        res_a = None if a is None else next(found_a)
+        res_i = None if i is None else next(found_i)
+        mode = spec.mode_forced if spec.objective != "social" else None
+        if mode is None:
+            mode = _winner(res_a, res_i)  # None when both intervals are empty
+        found = res_a if mode is Mode.A else res_i
         if found is None:
-            return f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
-        return spec.mode_forced, None, found
-    _check_interval(spec.theta_lo, spec.theta_hi)
-    try:
-        found_a, found_i, regime = _platform(p, spec.theta_lo, spec.theta_hi, theta_d, levels)
-    except InfeasibleError as exc:
-        return str(exc)
-    return regime, regime, found_a if regime is Mode.A else found_i
+            solved.append(
+                _no_policy(spec.theta_lo, spec.theta_hi, theta_d) if mode is None
+                else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
+            )
+        else:
+            solved.append((mode, mode if _free(spec) else None, found))
+    return solved
 
 
 def _result(spec: ScenarioSpec, solved: tuple | str, p: ModelParams) -> ScenarioResult:
@@ -133,8 +151,7 @@ def _result(spec: ScenarioSpec, solved: tuple | str, p: ModelParams) -> Scenario
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem; an empty constraint set
     gives an infeasible result that names it."""
-    theta_d = threshold(p).theta_d if _free(spec) else None
-    return _result(spec, _solve(spec, p, theta_d, _delay_probs), p)
+    return _result(spec, _solve([spec], p)[0], p)
 
 
 @dataclass(frozen=True)
@@ -148,20 +165,11 @@ class ScenarioRow:
 def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[ScenarioRow]:
     """Run scenarios and tabulate totals relative to S1, ordered by id; of
     specs sharing an id, the last one's result is returned. Every spec is
-    solved, on levels and a theta_d shared by the call, and results are built
-    only for the specs returned."""
+    solved, by one staffing kernel call per mode, and results are built only
+    for the specs returned."""
     if not specs:
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
-    theta_d = threshold(p).theta_d if any(_free(s) for s in specs) else None
-    streams: dict[float, _Levels] = {}
-
-    def levels(offered_load: float) -> _Levels:
-        stream = streams.get(offered_load)
-        if stream is None:
-            stream = streams[offered_load] = _Levels(offered_load)
-        return stream
-
-    solved = {s.id: (s, _solve(s, p, theta_d, levels)) for s in specs}
+    solved = {spec.id: (spec, solution) for spec, solution in zip(specs, _solve(specs, p))}
     results = {sid: _result(spec, solution, p) for sid, (spec, solution) in solved.items()}
     s1 = results.get("S1")
     s1_total = s1.cost.total if s1 is not None and s1.feasible else None

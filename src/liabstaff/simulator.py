@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, UnstableError
 from .params import ModelParams, mode_attrs
-from .platform_opt import CostBreakdown, Policy, _cost, _terms
+from .platform_opt import CostBreakdown, Policy, _cost
 from .queueing import min_staffing
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -160,8 +160,8 @@ def simulate_policy(pol: Policy, p: ModelParams, customers: int, seed: int) -> E
     sim = simulate(
         SimConfig(lam=p.lam, mu=mu, n=pol.n, customers=customers, seed=seed, error_prob=err_prob)
     )
-    risk_se, cong_se, *_ = _terms(pol.theta, pol.n, sim.error_rate_stderr,
-                                  sim.system_time_stderr, p.lam, p.big_l, p.c_w, p.c_n, p.kappa)
+    stderr = _cost(pol.theta, pol.n, sim.error_rate_stderr, sim.system_time_stderr, p)
+    risk_se, cong_se = stderr.risk, stderr.congestion
     return EmpiricalCost(
         breakdown=_cost(pol.theta, pol.n, sim.error_rate, sim.mean_system_time, p),
         risk_stderr=risk_se,

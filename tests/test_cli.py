@@ -249,6 +249,33 @@ def test_scenario_repeated_runs_byte_identical(tmp_path: Path):
     assert a.read_bytes() == b.read_bytes()
 
 
+SCENARIO_CSV_DEFAULT = (
+    "id,mode,theta,n,risk,congestion,staffing,compliance,total,pct_vs_s1\n"
+    "S0,I,0.5,10,2500,1615.707956,2000,6250,12365.707956,22.5527520417\n"
+    "S1,A,0.4,5,6000,1090.11038104,1000,2000,10090.110381,0\n"
+    "S2,A,0.4,5,6000,1090.11038104,1000,2000,10090.110381,0\n"
+    "S3,A,0.4,5,6000,1090.11038104,1000,2000,10090.110381,0\n"
+    "S4,I,0,11,5000,1390.44657033,2200,0,8590.44657033,-14.862709664\n"
+)
+SCENARIO_CSV_ALPHA_FLOOR = SCENARIO_CSV_DEFAULT.replace(
+    "S3,A,0.4,5,6000,1090.11038104,1000,2000,10090.110381,0\n",
+    "S3,I,0.7,9,1500,2675.72832207,1800,11025,17000.7283221,68.4890222214\n",
+)
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [([], SCENARIO_CSV_DEFAULT), (["--alpha", "0.2", "--theta-floor", "0.7"], SCENARIO_CSV_ALPHA_FLOOR)],
+)
+def test_scenario_csv_golden_bytes(tmp_path: Path, capsys, flags, expected):
+    # the bytes the scenario command wrote before the staffing searches of a
+    # call were merged into one kernel call per mode; any change to the
+    # search or the cost arithmetic that moves a printed digit fails here
+    out = tmp_path / "scenarios.csv"
+    assert cli.main(["scenario", *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+
+
 def test_regime_map_repeated_runs_byte_identical(tmp_path: Path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liabstaff import (
     BASELINE,
@@ -21,7 +23,7 @@ from liabstaff import (
     theta_unconstrained,
     threshold,
 )
-from liabstaff.platform_opt import REGIME_I_EPS
+from liabstaff.platform_opt import REGIME_I_EPS, _regime_result, _search
 from liabstaff.queueing import MAX_OFFERED_LOAD
 
 from oracles import (
@@ -303,6 +305,33 @@ def test_float_search_equals_per_level_reference():
         for m in (Mode.A, Mode.I):
             for lo, hi in intervals:
                 assert optimize_regime(m, lo, hi, p) == optimize_regime_per_level(m, lo, hi, p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_kernel_entries_equal_one_interval_searches(seed, data):
+    # one kernel call over a list of share intervals, with duplicates, empty
+    # (lo > hi) and degenerate [x, x] entries and bounds at theta_d and
+    # theta_d + REGIME_I_EPS, returns per entry the tuple that a call with
+    # that interval alone returns, whatever the order of the list
+    p = random_valid_params(np.random.default_rng(seed))
+    theta_d = threshold(p).theta_d
+    marks = [x for x in (0.0, 0.3, 0.5, 1.0, theta_d, theta_d + REGIME_I_EPS) if x <= 1.0]
+    share = st.sampled_from(marks) | st.floats(0.0, 1.0)
+    entry = st.tuples(share, share) | share.map(lambda x: (x, x))
+    intervals = data.draw(st.lists(entry, min_size=1, max_size=10))
+    intervals += data.draw(st.lists(st.sampled_from(intervals), max_size=4))
+    order = data.draw(st.permutations(range(len(intervals))))
+    for m in (Mode.A, Mode.I):
+        found = _search(m, intervals, p)
+        assert len(found) == len(intervals)
+        for (lo, hi), res in zip(intervals, found):
+            # repr tells every float apart bit for bit, -0.0 from 0.0 too
+            assert repr(res) == repr(_search(m, [(lo, hi)], p)[0])
+            assert (res is None) == (lo > hi)
+            assert _regime_result(m, res, p) == optimize_regime_per_level(m, lo, hi, p)
+        shuffled = _search(m, [intervals[i] for i in order], p)
+        assert [repr(res) for res in shuffled] == [repr(found[i]) for i in order]
 
 
 def test_large_offered_load_solves_without_a_staffing_cap():

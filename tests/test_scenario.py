@@ -16,6 +16,7 @@ from liabstaff import (
     run_scenario,
 )
 from liabstaff.physician import threshold
+from liabstaff.scenario import SCENARIO_IDS
 from liabstaff.platform_opt import REGIME_I_EPS
 
 from oracles import (
@@ -229,6 +230,13 @@ def _per_level_result(spec: ScenarioSpec, p) -> ScenarioResult:
         (BASELINE, [make_scenario("S4"), make_scenario("S2", alpha=0.2), ScenarioSpec("X", 0.6000001, 0.6000005)]),
         # a duplicate id: the last spec of an id is the one returned
         (BASELINE, [make_scenario("S3", theta_floor=0.7), make_scenario("S1"), make_scenario("S3", theta_floor=0.1)]),
+        # specs that search Mode A alone, Mode I alone, and both modes on [0, 0]
+        (BASELINE, [ScenarioSpec("X", 0.1, 0.9, mode_forced=Mode.A)]),
+        (dataclasses.replace(BASELINE, lam=5000.0), [ScenarioSpec("X", 0.1, 0.9, mode_forced=Mode.A)]),
+        (BASELINE, [make_scenario("S0")]),
+        (dataclasses.replace(BASELINE, lam=5000.0), [make_scenario("S0")]),
+        (BASELINE, [make_scenario("S4")]),
+        (dataclasses.replace(BASELINE, lam=5000.0), [make_scenario("S4")]),
     ],
 )
 def test_compare_rows_equal_per_spec_and_per_level_results(p, specs):
@@ -248,10 +256,36 @@ def test_compare_rows_equal_per_spec_and_per_level_results(p, specs):
         assert all(row.pct_vs_s1 is None for row in rows)
 
 
-@pytest.mark.parametrize("ids", [("S0", "S1", "S4"), ("S4", "S1", "S0"), ("S1", "S4"), ("S4",)])
+@pytest.mark.parametrize("ids", [("S0", "S1", "S4"), ("S4", "S1", "S0"), ("S1", "S4"), ("S4",), ("S0",)])
 def test_compare_rejects_unvalidated_offered_load(ids):
     # regime I's offered load, 1.67e6, is above the domain limit; regime A's,
     # 1e4, is walked first by S1 and S4
     p = dataclasses.replace(BASELINE, lam=1e7, mu_a=1e3)
     with pytest.raises(ParameterError, match="exceeds the domain limit"):
         compare_scenarios([make_scenario(sid) for sid in ids], p)
+
+
+def test_compare_walks_only_the_modes_its_specs_search():
+    # regime I's offered load, 1.67e6, is above the domain limit and regime
+    # A's, 1e4, is not: a call raises exactly when some spec has a non-empty
+    # interval in Mode I (S0 and S4 alone are in the test above)
+    p = dataclasses.replace(BASELINE, lam=1e7, mu_a=1e3)
+    forced_a = ScenarioSpec("X", 0.1, 0.9, mode_forced=Mode.A)
+    empty_i = ScenarioSpec("Y", 0.7, 0.2, mode_forced=Mode.I)
+    rows = compare_scenarios([forced_a, empty_i], p)
+    assert [row.result.feasible for row in rows] == [True, False]
+    assert rows[0].result == run_scenario(forced_a, p)
+    with pytest.raises(ParameterError, match="exceeds the domain limit"):
+        compare_scenarios([forced_a, make_scenario("S0")], p)
+
+
+def test_compare_rows_do_not_depend_on_spec_order():
+    rng = np.random.default_rng(12)
+    extra = [ScenarioSpec("XA", 0.1, 0.9, mode_forced=Mode.A), ScenarioSpec("XI", 0.7, 0.2, mode_forced=Mode.I)]
+    for _ in range(20):
+        p = random_valid_params(rng)
+        alpha, floor = rng.uniform(0.05, 0.95, size=2)
+        specs = [make_scenario(sid, alpha=alpha, theta_floor=floor) for sid in SCENARIO_IDS] + extra
+        rows = compare_scenarios(specs, p)
+        for _ in range(3):
+            assert compare_scenarios([specs[i] for i in rng.permutation(len(specs))], p) == rows
