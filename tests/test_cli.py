@@ -268,9 +268,8 @@ SCENARIO_CSV_ALPHA_FLOOR = SCENARIO_CSV_DEFAULT.replace(
     [([], SCENARIO_CSV_DEFAULT), (["--alpha", "0.2", "--theta-floor", "0.7"], SCENARIO_CSV_ALPHA_FLOOR)],
 )
 def test_scenario_csv_golden_bytes(tmp_path: Path, capsys, flags, expected):
-    # the bytes the scenario command wrote before the staffing searches of a
-    # call were merged into one kernel call per mode; any change to the
-    # search or the cost arithmetic that moves a printed digit fails here
+    # pinned bytes: a change to the staffing search or the cost arithmetic
+    # that moves any printed digit fails here
     out = tmp_path / "scenarios.csv"
     assert cli.main(["scenario", *flags, "--out", str(out)]) == 0
     assert out.read_bytes() == expected.encode()

@@ -16,8 +16,8 @@ from liabstaff import (
     run_scenario,
 )
 from liabstaff.physician import threshold
-from liabstaff.scenario import SCENARIO_IDS
 from liabstaff.platform_opt import REGIME_I_EPS
+from liabstaff.scenario import SCENARIO_IDS
 
 from oracles import (
     brute_force_platform,
