@@ -32,9 +32,7 @@ from .platform_opt import (
     Policy,
     RegimeResult,
     cost_breakdown,
-    optimize_platform,
     optimize_regime,
-    optimize_social,
     social_cost,
     theta_optimal,
     theta_unconstrained,
@@ -46,6 +44,8 @@ from .scenario import (
     ScenarioSpec,
     compare_scenarios,
     make_scenario,
+    optimize_platform,
+    optimize_social,
     run_scenario,
 )
 from .simulator import EmpiricalCost, SimConfig, SimResult, simulate, simulate_policy

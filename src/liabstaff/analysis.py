@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .params import Mode, ModelParams, validate
 from .physician import physician_utility, threshold
-from .platform_opt import REGIME_I_EPS, optimize_platform, optimize_regime, optimize_social
+from .platform_opt import REGIME_I_EPS, optimize_regime
 from .queueing import erlang_c, min_staffing
+from .scenario import optimize_platform, optimize_social
 
 # Parameters exposed to sensitivity sweeps; "lambda" maps to the lam field.
 SWEEPABLE = {

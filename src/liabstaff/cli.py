@@ -30,7 +30,7 @@ from .errors import InfeasibleError, ParameterError, UnstableError
 from .output import render_csv, write_csv, write_manifest
 from .params import BASELINE, ModelParams, load_params
 from .physician import threshold
-from .platform_opt import RegimeResult, optimize_platform
+from .platform_opt import RegimeResult
 from .queueing import queue_metrics
 from .scenario import (
     DEFAULT_ALPHA,
@@ -38,6 +38,7 @@ from .scenario import (
     SCENARIO_IDS,
     compare_scenarios,
     make_scenario,
+    optimize_platform,
 )
 from .simulator import SimConfig, simulate
 

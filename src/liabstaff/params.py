@@ -66,7 +66,8 @@ def validate(p: ModelParams) -> ModelParams:
     """Check every parameter is finite, as are the hourly loss and waiting
     rates lam * big_l and lam * c_w and the staffing and full-transfer
     compliance costs c_n * n_I and kappa * n_I at regime I's minimum staffing
-    n_I = min_staffing(lam, mu_i), every ordering holds and the larger
+    n_I = min_staffing(lam, mu_i), every ordering holds, the threshold's
+    denominator big_l * (h - q)^2 does not underflow to 0 and the larger
     offered load lam / mu_i is within queueing.MAX_OFFERED_LOAD; return ``p``
     unchanged if all do.
 
@@ -104,6 +105,10 @@ def validate(p: ModelParams) -> ModelParams:
         problems.append("h must be below 1")
     if not p.q < p.h:
         problems.append("q must be below h")
+    elif p.big_l > 0 and not p.big_l * (p.h - p.q) * (p.h - p.q) > 0:
+        # threshold()'s slope denominator, formed as it forms it; as h - q < 1,
+        # it is positive only if theta_d's denominator big_l * (h - q) is
+        problems.append(f"h - q too small: big_l * (h - q)^2 underflows to 0 at q = {p.q!r}, h = {p.h!r}")
     if not p.big_l > 0:
         problems.append("big_l must be positive")
     if not p.c_w > 0:

@@ -1,4 +1,4 @@
-"""Platform-side optimization: cost evaluation, per-regime search, composition.
+"""Platform-side optimization: cost evaluation and the per-regime staffing search.
 
 The total hourly cost of a (theta, N, mode) policy has four components:
 risk borne by the platform, congestion, staffing, and the quadratic
@@ -8,13 +8,11 @@ unconstrained stationary point followed by a finite staffing enumeration.
 
 Every optimum is found by the one staffing kernel, ``_search``, which runs on
 plain floats: given a mode and a list of share intervals, it walks the mode's
-Erlang levels once and returns one search tuple per interval. Scenario S0
-(forced mode and share) and each mode of the social optimum S4 (theta = 0)
-are instances of it. The public optimizers call it with one interval per
-mode and wrap its tuples into Policy, CostBreakdown and RegimeResult; the
-scenario layer calls it once per mode with the intervals of all its specs
-and builds objects only for the results it returns. Nothing is kept across
-calls.
+Erlang levels once and returns one search tuple per interval.
+``optimize_regime`` calls it on one interval and wraps its tuple into Policy,
+CostBreakdown and RegimeResult. Which intervals each mode searches, and which
+mode wins, is decided in one place, the scenario layer, which also holds the
+platform and social optimum. Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -22,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError
 from .params import Mode, ModelParams, mode_attrs
-from .physician import _theta_d
 from .queueing import _delay_probs, queue_metrics
 
 # Lowest liability share that still induces independent mode; the regime-I
-# interval is open at the threshold, so the search closes it at this offset.
+# interval is open at the threshold, so the scenario layer closes it at this
+# offset.
 REGIME_I_EPS = 1e-6
 
 
@@ -200,52 +198,6 @@ def optimize_regime(
     return _regime_result(regime, _search(regime, [(theta_lo, theta_hi)], p)[0], p)
 
 
-def _winner(found_a: tuple | None, found_i: tuple | None) -> Mode | None:
-    """The regime whose search found the lower total, Mode A on a tie (and
-    only on a tie); None when neither interval was searched."""
-    if found_a is not None and (found_i is None or found_a[5] <= found_i[5]):
-        return Mode.A
-    return Mode.I if found_i is not None else None
-
-
-def _regime_intervals(theta_lo: float, theta_hi: float, theta_d: float) -> tuple[tuple, tuple]:
-    """The share intervals of Regime A, [theta_lo, min(theta_hi, theta_d)],
-    and of Regime I, [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]: the
-    shares of [theta_lo, theta_hi] that induce each mode at threshold theta_d."""
-    return (theta_lo, min(theta_hi, theta_d)), (max(theta_lo, theta_d + REGIME_I_EPS), theta_hi)
-
-
-def _no_policy(theta_lo: float, theta_hi: float, theta_d: float) -> str:
-    """Why the platform problem has no solution: both regime intervals are empty."""
-    return f"no feasible policy in [{theta_lo:g}, {theta_hi:g}] (threshold {theta_d:g})"
-
-
-def _check_interval(theta_lo: float, theta_hi: float) -> None:
-    """Raise ParameterError unless 0 <= theta_lo <= theta_hi <= 1."""
-    if not 0.0 <= theta_lo <= theta_hi <= 1.0:
-        raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{theta_lo!r}, {theta_hi!r}]")
-
-
-def optimize_platform(
-    p: ModelParams, theta_lo: float = 0.0, theta_hi: float = 1.0
-) -> PlatformSolution:
-    """Solve both regimes on their induced-mode intervals and pick the winner.
-
-    Regime A is searched on [theta_lo, min(theta_hi, theta_d)], Regime I on
-    [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
-    Raises InfeasibleError when both intervals are empty.
-    """
-    _check_interval(theta_lo, theta_hi)
-    theta_d = _theta_d(p)
-    interval_a, interval_i = _regime_intervals(theta_lo, theta_hi, theta_d)
-    (found_a,), (found_i,) = _search(Mode.A, [interval_a], p), _search(Mode.I, [interval_i], p)
-    winner = _winner(found_a, found_i)
-    if winner is None:
-        raise InfeasibleError(_no_policy(theta_lo, theta_hi, theta_d))
-    res_a, res_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
-    return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=res_a if winner is Mode.A else res_i)
-
-
 def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:
     """Social objective: full internalized loss plus congestion and staffing.
 
@@ -253,15 +205,3 @@ def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:
     compliance friction drops out: this is the platform cost at theta = 0.
     """
     return cost_breakdown(0.0, n, m, p)
-
-
-def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
-    """Minimize the social objective over mode and stable staffing.
-
-    Each mode is searched on the share interval [0, 0], where the platform
-    cost is the social cost; the reported theta is therefore 0. Ties break
-    toward Mode A, then toward smaller N.
-    """
-    (found_a,), (found_i,) = _search(Mode.A, [(0.0, 0.0)], p), _search(Mode.I, [(0.0, 0.0)], p)
-    mode = _winner(found_a, found_i)
-    return _found_cost(mode, found_a if mode is Mode.A else found_i, p)

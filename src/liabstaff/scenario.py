@@ -1,4 +1,5 @@
-"""The five policy scenarios as constrained instances of the optimizers.
+"""The five policy scenarios, and the platform and social optimum, as
+constraint sets of one solver.
 
 S0  human-only benchmark: Mode I administratively forced at theta = 0.5
 S1  flexible contracting: free (theta, N) with endogenous mode response
@@ -6,37 +7,37 @@ S2  minimum platform liability: theta <= 1 - alpha
 S3  minimum physician liability: theta >= theta_floor
 S4  social welfare benchmark: social objective, mode and N free
 
-Every scenario is solved by the one staffing kernel of platform_opt: S0 on
-the share interval [0.5, 0.5] in Mode I, S4 on [0, 0] in each mode, S1-S3 in
-both regimes on their induced-mode intervals. A call gathers the intervals of
-all its specs per mode, reads theta_d at most once, and makes one kernel call
-per mode, so each mode's levels are walked once per call; nothing is kept
-across calls. Policy and CostBreakdown are built only for the results that
-are returned.
+A constraint set picks the share interval each mode searches: S0 [0.5, 0.5]
+in Mode I, S4 [0, 0] in each mode, S1-S3 both regimes on their induced-mode
+intervals; the mode with the lower total wins, Mode A on a tie. ``_solve`` is
+the one place this is written; optimize_platform is its free spec and
+optimize_social is S4. A call gathers the intervals of all its specs per mode,
+reads theta_d at most once, and makes one call of the staffing kernel
+platform_opt._search per mode, so each mode's levels are walked once per
+call; nothing is kept across calls. Result objects are built only for the
+results that are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
 from .physician import _theta_d
 from .platform_opt import (
+    REGIME_I_EPS,
     CostBreakdown,
+    PlatformSolution,
     Policy,
-    _check_interval,
     _found_cost,
-    _no_policy,
-    _regime_intervals,
+    _regime_result,
     _search,
-    _winner,
 )
 
-# Not called here: the scenarios are solved on the private search above. These
-# names stay importable from this module because the benchmark's tracer wraps
-# liabstaff.scenario.optimize_platform, .optimize_social and .cost_breakdown.
-from .platform_opt import cost_breakdown, optimize_platform, optimize_social  # noqa: F401
+# Not called here; it stays importable from this module because the
+# benchmark's tracer wraps liabstaff.scenario.cost_breakdown.
+from .platform_opt import cost_breakdown  # noqa: F401
 
 SCENARIO_IDS = ("S0", "S1", "S2", "S3", "S4")
 
@@ -101,23 +102,33 @@ def _free(spec: ScenarioSpec) -> bool:
 def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple | None, tuple | None]:
     """The share intervals the spec searches in Mode A and in Mode I, None
     for a mode it does not search: [0, 0] in both for the social objective,
-    its own interval in a forced mode, else its induced-mode intervals at
-    theta_d, which is read only when _free(spec)."""
+    its own interval in a forced mode, else the shares of it that induce each
+    mode at threshold theta_d, which is read only when _free(spec)."""
     if spec.objective == "social":
         return (0.0, 0.0), (0.0, 0.0)
-    interval = (spec.theta_lo, spec.theta_hi)
     if spec.mode_forced is not None:
+        interval = (spec.theta_lo, spec.theta_hi)
         return (interval, None) if spec.mode_forced is Mode.A else (None, interval)
-    _check_interval(*interval)
-    return _regime_intervals(spec.theta_lo, spec.theta_hi, theta_d)
+    return (
+        (spec.theta_lo, min(spec.theta_hi, theta_d)),
+        (max(spec.theta_lo, theta_d + REGIME_I_EPS), spec.theta_hi),
+    )
 
 
-def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[Mode, Mode | None, tuple] | str]:
-    """Each spec's optimum on plain floats: (mode, regime, search tuple), the
-    regime None when the mode is forced or moot; or, when the constraint set
-    is empty, the reason. One kernel call per mode searches the intervals of
-    every spec, and a mode none of them searches is not walked."""
-    theta_d = _theta_d(p) if any(_free(s) for s in specs) else None
+def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, list[tuple]]:
+    """theta_d (None when no spec reads it) and, per spec, (found_a, found_i,
+    mode): each mode's search tuple on plain floats, None when the mode is not
+    searched or its interval is empty, and the mode of the optimum: the forced
+    one, else the one whose search found the lower total, Mode A on a tie (and
+    only on a tie), or None when neither was searched. One kernel call per
+    mode searches the intervals of every spec, and a mode none of them
+    searches is not walked. Raises ParameterError unless 0 <= theta_lo <=
+    theta_hi <= 1 for each free spec."""
+    free = [s for s in specs if _free(s)]
+    for s in free:
+        if not 0.0 <= s.theta_lo <= s.theta_hi <= 1.0:
+            raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{s.theta_lo!r}, {s.theta_hi!r}]")
+    theta_d = _theta_d(p) if free else None
     wanted = [_intervals(s, theta_d) for s in specs]
     found_a = iter(_search(Mode.A, [a for a, _ in wanted if a is not None], p))
     found_i = iter(_search(Mode.I, [i for _, i in wanted if i is not None], p))
@@ -126,32 +137,63 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[Mode, Mode |
         res_a = None if a is None else next(found_a)
         res_i = None if i is None else next(found_i)
         mode = spec.mode_forced if spec.objective != "social" else None
-        if mode is None:
-            mode = _winner(res_a, res_i)  # None when both intervals are empty
-        found = res_a if mode is Mode.A else res_i
-        if found is None:
-            solved.append(
-                _no_policy(spec.theta_lo, spec.theta_hi, theta_d) if mode is None
-                else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
-            )
-        else:
-            solved.append((mode, mode if _free(spec) else None, found))
-    return solved
+        if mode is None and res_a is not None and (res_i is None or res_a[5] <= res_i[5]):
+            mode = Mode.A
+        elif mode is None and res_i is not None:
+            mode = Mode.I
+        solved.append((res_a, res_i, mode))
+    return theta_d, solved
 
 
-def _result(spec: ScenarioSpec, solved: tuple | str, p: ModelParams) -> ScenarioResult:
-    """The ScenarioResult of a solved spec."""
-    if isinstance(solved, str):
-        return ScenarioResult(spec.id, False, None, None, None, reason=solved)
-    mode, regime, found = solved
+def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple, p: ModelParams) -> ScenarioResult:
+    """The ScenarioResult of a solved spec; when it has no optimum, the reason
+    names the empty constraint set."""
+    found_a, found_i, mode = solved
+    found = found_a if mode is Mode.A else found_i
+    if found is None:
+        reason = (
+            f"no feasible policy in [{spec.theta_lo:g}, {spec.theta_hi:g}] (threshold {theta_d:g})"
+            if mode is None else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
+        )
+        return ScenarioResult(spec.id, False, None, None, None, reason=reason)
     policy, cost = _found_cost(mode, found, p)
-    return ScenarioResult(spec.id, True, policy, cost, regime=regime)
+    return ScenarioResult(spec.id, True, policy, cost, regime=mode if _free(spec) else None)
 
 
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem; an empty constraint set
     gives an infeasible result that names it."""
-    return _result(spec, _solve([spec], p)[0], p)
+    theta_d, (solved,) = _solve([spec], p)
+    return _result(spec, theta_d, solved, p)
+
+
+def optimize_platform(
+    p: ModelParams, theta_lo: float = 0.0, theta_hi: float = 1.0
+) -> PlatformSolution:
+    """Solve both regimes on their induced-mode intervals and pick the winner.
+
+    Regime A is searched on [theta_lo, min(theta_hi, theta_d)], Regime I on
+    [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
+    Raises InfeasibleError when both intervals are empty. This is S1's path.
+    """
+    spec = ScenarioSpec("", theta_lo, theta_hi)
+    theta_d, (solved,) = _solve([spec], p)
+    found_a, found_i, winner = solved
+    if winner is None:
+        raise InfeasibleError(_result(spec, theta_d, solved, p).reason)
+    res_a, res_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
+    return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=res_a if winner is Mode.A else res_i)
+
+
+def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
+    """Minimize the social objective over mode and stable staffing.
+
+    Each mode is searched on the share interval [0, 0], where the platform
+    cost is the social cost; the reported theta is therefore 0. Ties break
+    toward Mode A, then toward smaller N. This is S4's path.
+    """
+    _, ((found_a, found_i, mode),) = _solve([make_scenario("S4")], p)
+    return _found_cost(mode, found_a if mode is Mode.A else found_i, p)
 
 
 @dataclass(frozen=True)
@@ -169,8 +211,9 @@ def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[Scenari
     for the specs returned."""
     if not specs:
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
-    solved = {spec.id: (spec, solution) for spec, solution in zip(specs, _solve(specs, p))}
-    results = {sid: _result(spec, solution, p) for sid, (spec, solution) in solved.items()}
+    theta_d, solved = _solve(specs, p)
+    last = {spec.id: (spec, solution) for spec, solution in zip(specs, solved)}
+    results = {sid: _result(spec, theta_d, solution, p) for sid, (spec, solution) in last.items()}
     s1 = results.get("S1")
     s1_total = s1.cost.total if s1 is not None and s1.feasible else None
     rows = []

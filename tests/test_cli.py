@@ -107,6 +107,13 @@ def test_solve_bad_config_reports_line(tmp_path: Path):
         cp = run_cli(command, "--config", str(cfg))
         assert_usage_error(cp)
         assert "offered-load limit" in cp.stderr
+    # h - q so small that the threshold's denominators underflow to 0
+    for text in ("q = 1e-200\nh = 2e-200\n", "q = 1e-200\nh = 2e-200\nbig_l = 1e-200\n"):
+        cfg.write_text(text)
+        for command in ("solve", "scenario", "threshold"):
+            cp = run_cli(command, "--config", str(cfg))
+            assert_usage_error(cp)
+            assert "q = 1e-200, h = 2e-200" in cp.stderr
 
 
 def test_solve_infeasible_interval_exits_1(tmp_path: Path):
@@ -120,6 +127,12 @@ def test_solve_infeasible_interval_exits_1(tmp_path: Path):
     assert cp.returncode == 0  # regime I covers it at baseline
     assert "winner: Regime I" in cp.stdout
     assert_usage_error(run_cli("solve", "--theta-lo", "2"))
+    # theta_d = 0.6 (0.6000000000000008): the share 0.6000005 lies above it
+    # but below theta_d + REGIME_I_EPS, so neither regime may search it
+    cp = run_cli("solve", "--theta-lo", "0.6000005", "--theta-hi", "0.6000005")
+    assert (cp.returncode, cp.stdout, cp.stderr) == (
+        1, "", "error: no feasible policy in [0.600001, 0.600001] (threshold 0.6)\n"
+    )
 
 
 def test_threshold_command():
@@ -273,6 +286,100 @@ def test_scenario_csv_golden_bytes(tmp_path: Path, capsys, flags, expected):
     out = tmp_path / "scenarios.csv"
     assert cli.main(["scenario", *flags, "--out", str(out)]) == 0
     assert out.read_bytes() == expected.encode()
+
+
+# Pinned bytes of the commands that call optimize_platform and optimize_social.
+SOLVE_JSON_DEFAULT = """\
+{
+  "regime_a": {
+    "cost": {
+      "compliance": 1999.999999999999,
+      "congestion": 1090.1103810374752,
+      "risk": 5999.999999999999,
+      "staffing": 1000.0,
+      "total": 10090.110381037473
+    },
+    "feasible": true,
+    "n": 5,
+    "n_searched": [
+      5,
+      5
+    ],
+    "regime": "A",
+    "theta": 0.3999999999999999,
+    "theta_unconstrained": 0.3999999999999999
+  },
+  "regime_i": {
+    "cost": {
+      "compliance": 8100.027000022521,
+      "congestion": 2675.7283220678523,
+      "risk": 1999.9949999999978,
+      "staffing": 1800.0,
+      "total": 14575.75032209037
+    },
+    "feasible": true,
+    "n": 9,
+    "n_searched": [
+      9,
+      10
+    ],
+    "regime": "I",
+    "theta": 0.6000010000000008,
+    "theta_unconstrained": 0.11111111111111122
+  },
+  "theta_d": 0.6000000000000008,
+  "winner": "A"
+}
+"""
+SOLVE_JSON_THETA_LO_0_7 = """\
+{
+  "regime_a": {
+    "feasible": false,
+    "regime": "A"
+  },
+  "regime_i": {
+    "cost": {
+      "compliance": 11025.0,
+      "congestion": 2675.7283220678523,
+      "risk": 1500.0000000000016,
+      "staffing": 1800.0,
+      "total": 17000.728322067855
+    },
+    "feasible": true,
+    "n": 9,
+    "n_searched": [
+      9,
+      10
+    ],
+    "regime": "I",
+    "theta": 0.7,
+    "theta_unconstrained": 0.11111111111111122
+  },
+  "theta_d": 0.6000000000000008,
+  "winner": "I"
+}
+"""
+WELFARE_CSV_BIG_L_3 = (
+    "big_l,s1_total,s4_total,gap,gap_pct_of_s4\n"
+    "800,5669.84889467,5590.44657033,79.4023243367,1.42032167445\n"
+    "2900,12146.3397072,10840.4465703,1305.89313689,12.0464883842\n"
+    "5000,14553.207956,16090.4465703,-1537.23861433,-9.55373492964\n"
+)
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [([], SOLVE_JSON_DEFAULT), (["--theta-lo", "0.7"], SOLVE_JSON_THETA_LO_0_7)],
+)
+def test_solve_json_golden_bytes(capsys, flags, expected):
+    assert cli.main(["solve", "--json", *flags]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_welfare_csv_golden_bytes(tmp_path: Path, capsys):
+    out = tmp_path / "welfare.csv"
+    assert cli.main(["welfare", "--grid", "big_l=800:5000:3", "--out", str(out)]) == 0
+    assert out.read_bytes() == WELFARE_CSV_BIG_L_3.encode()
 
 
 def test_regime_map_repeated_runs_byte_identical(tmp_path: Path):

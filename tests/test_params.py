@@ -12,6 +12,7 @@ from liabstaff import (
     ParameterError,
     mode_attrs,
     parse_config,
+    threshold,
     validate,
 )
 from liabstaff.queueing import MAX_OFFERED_LOAD
@@ -33,6 +34,15 @@ def test_validation_is_idempotent():
 def test_q_above_h_rejected():
     with pytest.raises(ParameterError, match="q must be below h"):
         validate(dataclasses.replace(BASELINE, q=0.96))
+
+
+def test_threshold_denominator_underflow_rejected():
+    # (h - q)^2 = 1e-400 underflows to 0, so threshold() would divide by 0,
+    # and with big_l = 1e-200 so would theta_d's big_l * (h - q)
+    for big_l in (2000.0, 1e-200):
+        with pytest.raises(ParameterError, match=r"h - q .*q = 1e-200, h = 2e-200"):
+            validate(dataclasses.replace(BASELINE, q=1e-200, h=2e-200, big_l=big_l))
+    assert threshold(validate(dataclasses.replace(BASELINE, q=1e-150, h=2e-150))).theta_d > 1
 
 
 def test_equal_service_rates_rejected():
