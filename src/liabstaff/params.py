@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ParameterError
-from .queueing import MAX_OFFERED_LOAD, min_staffing
+from .queueing import MAX_OFFERED_LOAD
 
 # The physician wage w has no calibrated value; it cancels out of every
 # mode-choice comparison, so any positive default is equivalent.
@@ -62,36 +62,48 @@ class ModelParams:
 BASELINE = ModelParams()
 
 
-def validate(p: ModelParams) -> ModelParams:
-    """Check every parameter is finite, as are the hourly loss and waiting
-    rates lam * big_l and lam * c_w and the staffing and full-transfer
-    compliance costs c_n * n_I and kappa * n_I at regime I's minimum staffing
-    n_I = min_staffing(lam, mu_i), every ordering holds, the threshold's
-    denominator big_l * (h - q)^2 does not underflow to 0 and the larger
-    offered load lam / mu_i is within queueing.MAX_OFFERED_LOAD; return ``p``
-    unchanged if all do.
+# The box of every rate and money field and the floor of h - q; see validate
+BOX_LO = 1e-30
+BOX_HI = 1e30
+MIN_ACCURACY_GAP = 1e-30
+# (field, name in messages, boxed): q and h are bounded by their ordering
+_FIELDS = tuple(
+    (f.name, "lambda" if f.name == "lam" else f.name, f.name not in ("q", "h"))
+    for f in dataclasses.fields(ModelParams)
+)
 
-    Raises ParameterError listing one line per violation.
+
+def validate(p: ModelParams) -> ModelParams:
+    """Return ``p`` unchanged if every field is finite, every rate and money
+    field (all but q and h) lies in [BOX_LO, BOX_HI], 0 < q < h < 1 with
+    h - q >= MIN_ACCURACY_GAP, mu_a > mu_i, k_i > k_a and lam / mu_i is at
+    most MAX_OFFERED_LOAD; else raise ParameterError, one line per violation.
+
+    Then every number the solvers return is finite; rounding moves each bound
+    below by a factor near 1:
+    - A staffing search in the mode of rate mu and error probability P
+      starts at N0 = min_staffing(lam, mu) <= lam / mu + 2 <= 1e6 + 2, where
+      rho <= 1 - 1e-9, so W_q(N0) <= 1e9 / (N0 mu). At a share in [0, 1] its
+      first total is T <= lam L + c_w (lam / mu + 1e9) + (c_n + kappa) N0
+      <= 1e60 + 2e39 + 3e36 < 1.01e60.
+    - It prices a later level only when that level's total less lam c_w W_q,
+      a smaller wait than W_q(N0), lies below the incumbent, at most T. So no
+      cost term, total or difference of totals exceeds 2T.
+    - Every total is at least c_n >= BOX_LO, so pct_vs_s1 and gap_pct_of_s4
+      stay below 100 * 2T / BOX_LO < 3e92.
+    - L (h - q) >= 1e-60 and L (h - q)^2 >= 1e-90 are normal floats, so
+      theta_d <= 1e90, its four sensitivities are at most 1e120 in size and
+      theta_unconstrained = lam L P / (2 kappa N) <= 1e90.
     """
-    problems = [
-        f"{'lambda' if f.name == 'lam' else f.name} must be finite"
-        for f in dataclasses.fields(p)
-        if not math.isfinite(getattr(p, f.name))
-    ]
-    if not problems:
-        for name, value in (("big_l", p.big_l), ("c_w", p.c_w)):
-            if not math.isfinite(p.lam * value):
-                problems.append(f"lambda * {name} must be finite, got {p.lam * value!r}")
-        # min_staffing needs lam / mu_i finite; a larger load is reported below
-        if p.lam > 0 and p.mu_i > 0 and p.lam / p.mu_i <= MAX_OFFERED_LOAD:
-            n_i = min_staffing(p.lam, p.mu_i)
-            for name, value in (("c_n", p.c_n), ("kappa", p.kappa)):
-                if not math.isfinite(value * n_i):
-                    problems.append(f"{name} * n_I must be finite, got {value * n_i!r} at n_I = {n_i}")
-    if not p.lam > 0:
-        problems.append("lambda must be positive")
-    if not p.mu_i > 0:
-        problems.append("mu_i must be positive")
+    problems = []
+    for field, name, boxed in _FIELDS:
+        value = getattr(p, field)
+        if not math.isfinite(value):
+            problems.append(f"{name} must be finite")
+        elif boxed and not value > 0:
+            problems.append(f"{name} must be positive")
+        elif boxed and not BOX_LO <= value <= BOX_HI:
+            problems.append(f"{name} must lie in [{BOX_LO:g}, {BOX_HI:g}], got {value!r}")
     if not p.mu_a > p.mu_i:
         problems.append("mu_a must exceed mu_i")
     if 0 < p.lam < math.inf and p.mu_i > 0 and p.lam / p.mu_i > MAX_OFFERED_LOAD:
@@ -105,24 +117,10 @@ def validate(p: ModelParams) -> ModelParams:
         problems.append("h must be below 1")
     if not p.q < p.h:
         problems.append("q must be below h")
-    elif p.big_l > 0 and not p.big_l * (p.h - p.q) * (p.h - p.q) > 0:
-        # threshold()'s slope denominator, formed as it forms it; as h - q < 1,
-        # it is positive only if theta_d's denominator big_l * (h - q) is
-        problems.append(f"h - q too small: big_l * (h - q)^2 underflows to 0 at q = {p.q!r}, h = {p.h!r}")
-    if not p.big_l > 0:
-        problems.append("big_l must be positive")
-    if not p.c_w > 0:
-        problems.append("c_w must be positive")
-    if not p.c_n > 0:
-        problems.append("c_n must be positive")
-    if not p.kappa > 0:
-        problems.append("kappa must be positive")
-    if not p.k_a > 0:
-        problems.append("k_a must be positive")
+    elif not p.h - p.q >= MIN_ACCURACY_GAP:
+        problems.append(f"h - q must be at least {MIN_ACCURACY_GAP:g} at q = {p.q!r}, h = {p.h!r}")
     if not p.k_i > p.k_a:
         problems.append("k_i must exceed k_a")
-    if not p.w > 0:
-        problems.append("w must be positive")
     if problems:
         raise ParameterError("; ".join(problems))
     return p

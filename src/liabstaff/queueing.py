@@ -41,9 +41,12 @@ def min_staffing(lam: float, mu: float) -> int:
     """Smallest N that erlang_c accepts: floor(lam/mu) + 1, or one more when
     that level's utilization lies above the ceiling _RHO_CEILING, which
     happens at a near-integer offered load (one more always suffices within
-    the domain limit MAX_OFFERED_LOAD)."""
+    the domain limit MAX_OFFERED_LOAD). Raises ParameterError unless both
+    rates and lam / mu are positive and finite."""
     if not (0 < lam < math.inf and 0 < mu < math.inf):
         raise ParameterError("rates must be positive and finite")
+    if lam / mu == math.inf:
+        raise ParameterError(f"offered load lam / mu overflows: {lam!r} / {mu!r}")
     n = math.floor(lam / mu) + 1
     return n if lam / mu / n <= _RHO_CEILING else n + 1
 

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import ParameterError, UnstableError
-from .params import ModelParams, mode_attrs
+from .params import BOX_HI, BOX_LO, ModelParams, mode_attrs
 from .platform_opt import CostBreakdown, Policy, _cost
 from .queueing import min_staffing
 
@@ -58,11 +58,15 @@ def _resolve_warmup(cfg: SimConfig) -> int:
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """Run one replication: FIFO single queue, n >= min_staffing(lam, mu) servers."""
+    """Run one replication: FIFO single queue, n >= min_staffing(lam, mu)
+    servers, with lam and mu in validate's box [BOX_LO, BOX_HI]."""
     from array import array
 
     import numpy as np
 
+    for name, rate in (("lambda", cfg.lam), ("mu", cfg.mu)):
+        if not BOX_LO <= rate <= BOX_HI:
+            raise ParameterError(f"{name} must lie in [{BOX_LO:g}, {BOX_HI:g}], got {rate!r}")
     warmup = _resolve_warmup(cfg)
     if not 0 <= warmup < cfg.customers:
         raise ParameterError("need customers > warmup >= 0")

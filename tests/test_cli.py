@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,23 +93,39 @@ def test_solve_bad_config_reports_line(tmp_path: Path):
     cp = run_cli("solve", "--config", str(cfg))
     assert cp.returncode == 2
     assert "line 2" in cp.stderr
-    # a value that is not finite, or finite values whose hourly loss or
-    # waiting rate, lambda * big_l or lambda * c_w, overflows, or whose
-    # staffing or compliance cost at regime I's minimum staffing does
-    for text in ("lambda = inf\n", "big_l = 1e308\n", "big_l = 1e308\nkappa = 1e308\n",
+    # a value that is not finite, or a finite one outside the box
+    cfg.write_text("lambda = inf\n")
+    for command in ("solve", "scenario"):
+        cp = run_cli(command, "--config", str(cfg))
+        assert_usage_error(cp)
+        assert "must be finite" in cp.stderr
+    for text in ("big_l = 1e308\n", "big_l = 1e308\nkappa = 1e308\n",
                  "c_w = 1e308\n", "c_n = 1e308\n", "kappa = 1e308\n"):
         cfg.write_text(text)
         for command in ("solve", "scenario"):
             cp = run_cli(command, "--config", str(cfg))
             assert_usage_error(cp)
-            assert "must be finite" in cp.stderr
+            assert "must lie in [1e-30, 1e+30], got 1e+308" in cp.stderr
+    # sets whose output would overflow to inf: a total (c_n = kappa = 1.5e307),
+    # pct_vs_s1 (1e307), d/dq (h - q = 1e-160), and theta_d and every
+    # sensitivity (big_l = 1e-320)
+    for text, message in (("c_n = 1.5e307\nkappa = 1.5e307\n", "got 1.5e+307"),
+                          ("c_n = 1e307\nkappa = 1e307\n", "got 1e+307"),
+                          ("q = 1e-160\nh = 2e-160\n", "h - q must be at least 1e-30"),
+                          ("big_l = 1e-320\n", "big_l must lie in [1e-30, 1e+30], got 1e-320")):
+        cfg.write_text(text)
+        for command in ("solve", "scenario", "threshold"):
+            cp = run_cli(command, "--config", str(cfg))
+            assert_usage_error(cp)
+            assert message in cp.stderr
     # lambda / mu_i overflows to inf: reported as over the offered-load limit
     cfg.write_text("mu_i = 1e-307\n")
     for command in ("solve", "scenario"):
         cp = run_cli(command, "--config", str(cfg))
         assert_usage_error(cp)
         assert "offered-load limit" in cp.stderr
-    # h - q so small that the threshold's denominators underflow to 0
+    # h - q below its floor, so small that the threshold's denominators
+    # would underflow to 0
     for text in ("q = 1e-200\nh = 2e-200\n", "q = 1e-200\nh = 2e-200\nbig_l = 1e-200\n"):
         cfg.write_text(text)
         for command in ("solve", "scenario", "threshold"):
@@ -246,6 +264,11 @@ def test_simulate_unstable_exits_1():
     cp = run_cli("simulate", "--lambda", "50", "--mu", "6", "--n", "8",
                  "--customers", "1000")
     assert cp.returncode == 1
+    # rates outside the box: lambda / mu overflows, or the waits are nan
+    for lam, mu, n in (("1", "1e-320", "2"), ("1e-320", "1", "1")):
+        cp = run_cli("simulate", "--lambda", lam, "--mu", mu, "--n", n, "--customers", "100")
+        assert_usage_error(cp)
+        assert "got 1e-320" in cp.stderr
 
 
 def test_solve_repeated_runs_identical():
@@ -556,6 +579,25 @@ _ARGV = st.one_of(
 )
 
 
+def _non_finite_numbers(command: str, output: str) -> list[str]:
+    """The printed numbers and CSV cells of a run's output that are inf or
+    nan, but for the lambda and big_l a regime-map row echoes when its error
+    column is set: the cell's input, not a result."""
+    found = []
+    for line in output.splitlines():
+        cells = line.split(",", 6)
+        if command == "regime-map" and len(cells) == 7 and cells[6] and cells[0] != "lambda":
+            line = ",".join(cells[2:])
+        for token in re.split(r"[\s,=:;()\[\]{}\"%]+", line):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                found.append(token)
+    return found
+
+
 @pytest.fixture(scope="module")
 def fuzz_config(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
@@ -576,3 +618,5 @@ def test_exit_code_contract_under_fuzzed_configs(fuzz_config: Path, config, argv
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().startswith(("error: ", "usage: "))
+    else:
+        assert _non_finite_numbers(argv[0], out.getvalue() + err.getvalue()) == []

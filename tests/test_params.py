@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,12 +12,19 @@ from liabstaff import (
     Mode,
     ModelParams,
     ParameterError,
+    compare_scenarios,
+    make_scenario,
     mode_attrs,
+    optimize_platform,
+    optimize_social,
     parse_config,
     threshold,
     validate,
+    welfare_curve,
 )
+from liabstaff.params import BOX_HI, BOX_LO, MIN_ACCURACY_GAP
 from liabstaff.queueing import MAX_OFFERED_LOAD
+from liabstaff.scenario import SCENARIO_IDS
 
 
 def test_baseline_values_accepted():
@@ -38,11 +47,48 @@ def test_q_above_h_rejected():
 
 def test_threshold_denominator_underflow_rejected():
     # (h - q)^2 = 1e-400 underflows to 0, so threshold() would divide by 0,
-    # and with big_l = 1e-200 so would theta_d's big_l * (h - q)
-    for big_l in (2000.0, 1e-200):
-        with pytest.raises(ParameterError, match=r"h - q .*q = 1e-200, h = 2e-200"):
-            validate(dataclasses.replace(BASELINE, q=1e-200, h=2e-200, big_l=big_l))
-    assert threshold(validate(dataclasses.replace(BASELINE, q=1e-150, h=2e-150))).theta_d > 1
+    # and with big_l = 1e-200 so would theta_d's big_l * (h - q); at
+    # h - q = 1e-150 its slope overflows; each lies below the gap floor
+    for q, h, big_l in ((1e-200, 2e-200, 2000.0), (1e-200, 2e-200, 1e-200), (1e-150, 2e-150, 2000.0)):
+        with pytest.raises(ParameterError, match=rf"h - q .*q = {q!r}, h = {h!r}"):
+            validate(dataclasses.replace(BASELINE, q=q, h=h, big_l=big_l))
+    # a gap at the floor passes, and every number threshold() gives is finite
+    report = threshold(validate(dataclasses.replace(BASELINE, q=1e-30, h=2e-30)))
+    assert report.theta_d > 1
+    assert all(math.isfinite(x) for x in dataclasses.astuple(report))
+
+
+def _floats(x) -> list[float]:
+    """Every float in a result, through dataclass fields, tuples and lists."""
+    if isinstance(x, float):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return [v for item in x for v in _floats(item)] if isinstance(x, (list, tuple)) else []
+
+
+def test_every_number_of_a_validated_set_is_finite():
+    # rates and money values at the box's edges or log-uniform over and past
+    # it, offered loads up to 1e4, h - q at its floor half the time
+    rng = np.random.default_rng(13)
+    accepted = 0
+    while accepted < 150:
+        v = {f: float(rng.choice([BOX_LO, BOX_HI, 10.0 ** rng.uniform(-35, 35)]))
+             for f in ("mu_a", "mu_i", "big_l", "c_w", "c_n", "kappa", "k_a", "k_i", "w")}
+        v["lam"] = v["mu_i"] * 10.0 ** rng.uniform(-40, 4)
+        v["mu_a"], v["mu_i"] = max(v["mu_a"], v["mu_i"]), min(v["mu_a"], v["mu_i"])
+        v["k_i"], v["k_a"] = max(v["k_i"], v["k_a"]), min(v["k_i"], v["k_a"])
+        v["q"] = 10.0 ** rng.uniform(-40, -1e-3)
+        v["h"] = v["q"] + (MIN_ACCURACY_GAP if rng.random() < 0.5 else (1 - v["q"]) * rng.random())
+        try:
+            p = validate(ModelParams(**v))
+        except ParameterError:
+            continue
+        accepted += 1
+        results = [threshold(p), optimize_platform(p), optimize_social(p),
+                   compare_scenarios([make_scenario(sid) for sid in SCENARIO_IDS], p),
+                   welfare_curve(p, [p.big_l])]
+        assert all(math.isfinite(x) for x in _floats(results)), p
 
 
 def test_equal_service_rates_rejected():
@@ -57,9 +103,11 @@ def test_disutility_ordering_rejected():
 
 def test_multiple_violations_all_reported():
     with pytest.raises(ParameterError) as exc:
-        validate(dataclasses.replace(BASELINE, lam=-1.0, kappa=0.0))
+        validate(dataclasses.replace(BASELINE, lam=-1.0, kappa=0.0, c_w=1e31, w=1e-31))
     assert "lambda must be positive" in str(exc.value)
     assert "kappa must be positive" in str(exc.value)
+    assert "c_w must lie in [1e-30, 1e+30], got 1e+31" in str(exc.value)
+    assert "w must lie in [1e-30, 1e+30], got 1e-31" in str(exc.value)
 
 
 def test_mode_attrs_baseline():

@@ -17,6 +17,11 @@ def test_min_staffing_at_exact_balance():
     assert min_staffing(7.0, 7.0) == 2
 
 
+def test_min_staffing_overflowing_load_rejected():
+    with pytest.raises(ParameterError, match="overflows"):
+        min_staffing(1.0, 1e-320)
+
+
 def test_single_server_reduces_to_rho():
     for rho in np.arange(0.1, 0.95, 0.1):
         assert erlang_c(1, rho) == pytest.approx(rho, abs=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from liabstaff import (
 )
 from liabstaff.physician import threshold
 from liabstaff.platform_opt import REGIME_I_EPS
-from liabstaff.scenario import SCENARIO_IDS
+from liabstaff import scenario
+from liabstaff.scenario import SCENARIO_IDS, optimize_platform, optimize_social
 
 from oracles import (
     brute_force_platform,
@@ -289,3 +291,25 @@ def test_compare_rows_do_not_depend_on_spec_order():
         rows = compare_scenarios(specs, p)
         for _ in range(3):
             assert compare_scenarios([specs[i] for i in rng.permutation(len(specs))], p) == rows
+
+
+@pytest.mark.parametrize("total_i, winner", [
+    (lambda total_a: total_a, Mode.A),
+    (lambda total_a: math.nextafter(total_a, -math.inf), Mode.I),
+    (lambda total_a: math.nan, Mode.I),
+], ids=["tie", "one_ulp_below", "nan"])
+def test_mode_a_wins_a_tie_and_only_a_tie(monkeypatch, total_i, winner):
+    # Mode I's search total is rigged to equal Mode A's, to lie one ulp below
+    # it, or to be NaN; _solve searches Mode A first
+    search, found_a = scenario._search, []
+
+    def rigged(m, intervals, p):
+        found = search(m, intervals, p)
+        if m is Mode.A:
+            found_a[:] = found
+            return found
+        return [(*f[:5], total_i(a[5])) for f, a in zip(found, found_a)]
+
+    monkeypatch.setattr(scenario, "_search", rigged)
+    assert optimize_platform(BASELINE).winner.regime is winner
+    assert optimize_social(BASELINE)[0].mode is winner
