@@ -47,8 +47,8 @@ def test_q_above_h_rejected():
 
 def test_threshold_denominator_underflow_rejected():
     # (h - q)^2 = 1e-400 underflows to 0, so threshold() would divide by 0,
-    # and with big_l = 1e-200 so would theta_d's big_l * (h - q); at
-    # h - q = 1e-150 its slope overflows; each lies below the gap floor
+    # and with big_l = 1e-200 so would theta_d's big_l * (h - q); these and
+    # h - q = 1e-150 lie below the gap floor
     for q, h, big_l in ((1e-200, 2e-200, 2000.0), (1e-200, 2e-200, 1e-200), (1e-150, 2e-150, 2000.0)):
         with pytest.raises(ParameterError, match=rf"h - q .*q = {q!r}, h = {h!r}"):
             validate(dataclasses.replace(BASELINE, q=q, h=h, big_l=big_l))
