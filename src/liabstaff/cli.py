@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from .analysis import (
@@ -28,7 +29,7 @@ from .analysis import (
 )
 from .errors import InfeasibleError, ParameterError, UnstableError
 from .output import render_csv, write_csv, write_manifest
-from .params import BASELINE, ModelParams, load_params
+from .params import BASELINE, ModelParams, parse_config
 from .physician import threshold
 from .platform_opt import RegimeResult
 from .queueing import queue_metrics
@@ -60,13 +61,27 @@ SCENARIO_CSV_HEADER = [
 ]
 
 
-def _resolve_params(args) -> ModelParams:
+def _read(path: str, what: str) -> str:
+    """An input file's text; a missing, unreadable or non-UTF-8 file is a usage error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParameterError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, ModelParams | None]:
+    """Parse a run's argv and resolve its parameter set once: --config, else
+    $LIABSTAFF_CONFIG, else the baseline; None for a command without --config."""
+    args = _parser().parse_args(argv)
+    args.argv = argv
+    if not hasattr(args, "config"):
+        return args, None
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return BASELINE
-    if not os.path.exists(path):
-        raise ParameterError(f"config file not found: {path}")
-    return load_params(path)
+    return args, parse_config(_read(path, "config file")) if path else BASELINE
 
 
 def _parse_grid(spec: str) -> tuple[str, list[float]]:
@@ -90,11 +105,12 @@ def _money(value: float, thousands: bool) -> str:
     return f"{value:.6g}"
 
 
-def _emit(out, args, header, rows, command: str, params: ModelParams | None, options: dict) -> None:
-    """Write CSV + manifest to ``out`` when given, else print CSV to stdout."""
+def _emit(args, p: ModelParams | None, header, rows, out=None, command=None) -> None:
+    """Write the CSV and the run's manifest to ``out`` (default --out), else print the CSV."""
+    out = out or args.out
     if out:
         write_csv(out, header, rows)
-        write_manifest(out, command, args.argv, params, options, __version__)
+        write_manifest(out, command or args.command, args.argv, p, __version__)
         print(f"wrote {out}")
     else:
         sys.stdout.write(render_csv(header, rows))
@@ -111,8 +127,7 @@ def _regime_summary(label: str, res: RegimeResult, thousands: bool) -> list[str]
     ]
 
 
-def _cmd_solve(args) -> int:
-    p = _resolve_params(args)
+def _cmd_solve(args, p: ModelParams) -> int:
     sol = optimize_platform(p, args.theta_lo, args.theta_hi)
     rep = threshold(p)
     win, lose = sol.winner, (sol.regime_i if sol.winner is sol.regime_a else sol.regime_a)
@@ -150,8 +165,7 @@ def _solution_dict(sol, rep) -> dict:
     }
 
 
-def _cmd_threshold(args) -> int:
-    p = _resolve_params(args)
+def _cmd_threshold(args, p: ModelParams) -> int:
     rep = threshold(p)
     if args.json:
         print(json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True))
@@ -164,8 +178,7 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _cmd_scenario(args) -> int:
-    p = _resolve_params(args)
+def _cmd_scenario(args, p: ModelParams) -> int:
     ids = [s.strip().upper() for s in args.scenarios.split(",") if s.strip()]
     specs = [make_scenario(sid, alpha=args.alpha, theta_floor=args.theta_floor) for sid in ids]
     rows = compare_scenarios(specs, p)
@@ -206,8 +219,7 @@ def _cmd_scenario(args) -> int:
                 item["policy"]["mode"] = item["policy"]["mode"].value
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    options = {"scenarios": ids, "alpha": args.alpha, "theta_floor": args.theta_floor}
-    _emit(args.out, args, SCENARIO_CSV_HEADER, csv_rows, "scenario", p, options)
+    _emit(args, p, SCENARIO_CSV_HEADER, csv_rows)
     _print_scenario_notes(rows, args.thousands)
     return 0
 
@@ -232,8 +244,7 @@ def _print_scenario_notes(rows, thousands: bool) -> None:
         )
 
 
-def _cmd_regime_map(args) -> int:
-    p = _resolve_params(args)
+def _cmd_regime_map(args, p: ModelParams) -> int:
     grids = dict(_parse_grid(spec) for spec in ("lambda=25:90:25", DEFAULT_L_GRID))
     for spec in args.grid or []:
         name, values = _parse_grid(spec)
@@ -249,8 +260,7 @@ def _cmd_regime_map(args) -> int:
         (c.lam, c.big_l, c.winner, c.theta_star, c.n_star, c.total, c.error or "")
         for c in cells
     ]
-    options = {"lambda_grid": lam_grid, "l_grid": l_grid}
-    _emit(args.out, args, header, rows, "regime-map", p, options)
+    _emit(args, p, header, rows)
     if args.boundary_out:
         points = regime_boundary(p, lam_grid, min(l_grid), max(l_grid), tol=args.tol)
         for a, b in monotone_violations(points):
@@ -260,12 +270,11 @@ def _cmd_regime_map(args) -> int:
                 file=sys.stderr,
             )
         rows = [(pt.lam, pt.l_boundary) for pt in points]
-        _emit(args.boundary_out, args, ["lambda", "l_boundary"], rows, "regime-map-boundary", p, options)
+        _emit(args, p, ["lambda", "l_boundary"], rows, args.boundary_out, "regime-map-boundary")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    p = _resolve_params(args)
+def _cmd_sweep(args, p: ModelParams) -> int:
     name, values = _parse_grid(args.grid)
     rows = sensitivity_sweep(p, name, values)
     header = ["param_name", "param_value", "theta_star", "n_star", "total", "winner"]
@@ -273,30 +282,27 @@ def _cmd_sweep(args) -> int:
         (r.param_name, r.param_value, r.theta_star, r.n_star, r.total, r.winner)
         for r in rows
     ]
-    _emit(args.out, args, header, csv_rows, "sweep", p, {"grid": {name: values}})
+    _emit(args, p, header, csv_rows)
     return 0
 
 
-def _cmd_welfare(args) -> int:
-    p = _resolve_params(args)
+def _cmd_welfare(args, p: ModelParams) -> int:
     name, values = _parse_grid(args.grid or DEFAULT_L_GRID)
     if name != "big_l":
         raise ParameterError(f"welfare sweeps big_l only, got {name!r}")
     rows = welfare_curve(p, values)
     header = ["big_l", "s1_total", "s4_total", "gap", "gap_pct_of_s4"]
-    _emit(args.out, args, header, rows, "welfare", p, {"l_grid": values})
+    _emit(args, p, header, rows)
     return 0
 
 
-def _cmd_figure(args) -> int:
-    p = _resolve_params(args)
+def _cmd_figure(args, p: ModelParams) -> int:
     header, rows = figure_data(args.which, p, args.npoints, args.criterion)
-    options = {"which": args.which, "npoints": args.npoints, "criterion": args.criterion}
-    _emit(args.out, args, header, rows, "figure", p, options)
+    _emit(args, p, header, rows)
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, _p: None) -> int:
     cfg = SimConfig(
         lam=args.lam,
         mu=args.mu,
@@ -339,7 +345,7 @@ def _cmd_simulate(args) -> int:
         args.seed,
     )
     if args.out:
-        _emit(args.out, args, header, [row], "simulate", None, dataclasses.asdict(cfg))
+        _emit(args, None, header, [row])
     else:
         print(f"mean_wait = {result.mean_wait:.6g} +- {result.wait_stderr:.2g} h "
               f"(analytic {analytic.w_q:.6g} h)")
@@ -351,7 +357,7 @@ def _cmd_simulate(args) -> int:
 _VALIDATE_CONFIGS = ((50.0, 12.0, 5), (50.0, 6.0, 10))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, _p: None) -> int:
     ok = True
     print(f"{'lambda':>8} {'mu':>6} {'n':>3} {'sim_wq':>10} {'analytic':>10} {'stderr':>9}  result")
     for lam, mu, n in _VALIDATE_CONFIGS:
@@ -367,14 +373,11 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_rerun(args) -> int:
+def _cmd_rerun(args, _p: None) -> int:
     path = args.manifest
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ParameterError(f"cannot read manifest {path}: {exc.strerror}") from None
-    except ValueError as exc:
+        manifest = json.loads(_read(path, "manifest"))
+    except json.JSONDecodeError as exc:
         raise ParameterError(f"manifest {path} is not valid JSON: {exc}") from None
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
@@ -382,16 +385,15 @@ def _cmd_rerun(args) -> int:
     if argv[:1] == ["rerun"]:
         # written manifests record the command that wrote them, never a rerun
         raise ParameterError(f"manifest {path} reruns a manifest; give that manifest instead")
-    rerun = _parser().parse_args(argv)
-    rerun.argv = argv
+    rerun, p = _parse(argv)
     recorded = manifest.get("params")
-    if recorded is not None and hasattr(rerun, "config"):  # simulate records none
-        params = dataclasses.asdict(_resolve_params(rerun))
+    if recorded is not None and p is not None:  # simulate records none
+        params = dataclasses.asdict(p)
         if params != recorded:
             changed = [k for k in params if not isinstance(recorded, dict) or recorded.get(k) != params[k]]
             raise ParameterError(f"manifest {path} recorded other values of {', '.join(changed)} "
                                  "than this rerun resolves; rerun with the config it was written with")
-    return rerun.func(rerun)
+    return rerun.func(rerun, p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,16 +503,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(argv)
-    args.argv = argv
     try:
-        return args.func(args)
-    except ParameterError as exc:
+        args, p = _parse(argv)
+        return args.func(args, p)
+    except (InfeasibleError, ParameterError, UnstableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleError, UnstableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParameterError) else 1
 
 
 if __name__ == "__main__":

@@ -2,37 +2,43 @@
 
 CSV contract: `.` decimal separator, 12 significant digits, LF line endings,
 no timestamps — repeated runs of a deterministic command must be
-byte-identical. Each output file gets a sidecar JSON manifest holding
-everything needed to re-run the command identically.
+byte-identical. A cell holding a comma, quote or line break is quoted as
+RFC 4180 does. Each output file gets a sidecar JSON manifest recording the
+run: its command, argv and parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .params import ModelParams
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def fmt(value) -> str:
-    """Render one CSV cell: 12 significant digits for floats."""
+    """Render one CSV cell: 12 significant digits for floats; text holding a
+    comma, quote or line break goes in double quotes, any quote doubled."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
         return f"{value:.12g}"
-    if hasattr(value, "value"):  # enums render as their payload
-        return str(value.value)
-    return str(value)
+    # enums render as their payload
+    text = str(value.value) if hasattr(value, "value") else str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render_csv(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(fmt, line)) + "\n" for line in [header, *rows])
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
@@ -51,7 +57,6 @@ def write_manifest(
     command: str,
     argv: list[str],
     params: ModelParams | None,
-    options: dict,
     version: str,
 ) -> Path:
     """Write the sidecar manifest next to ``out_path``; ``params`` is None
@@ -60,7 +65,6 @@ def write_manifest(
         "command": command,
         "argv": argv,
         "params": None if params is None else dataclasses.asdict(params),
-        "options": options,
         "tool_version": version,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(out_path)],

@@ -72,7 +72,8 @@ def _delay_probs(offered_load: float):
 
 def erlang_c(n: int, offered_load: float) -> float:
     """Probability an arrival waits in an M/M/N queue with offered load a:
-    the level stream's value at level n."""
+    the level stream's value at level n, or its first 0.0, since once
+    Erlang B underflows to 0 it stays 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= offered_load < math.inf:
@@ -82,7 +83,7 @@ def erlang_c(n: int, offered_load: float) -> float:
             f"system unstable: offered load {offered_load:g} with {n} servers; "
             f"need at least {min_staffing(offered_load, 1.0)}"
         )
-    return next(delay_prob for level, delay_prob in _delay_probs(offered_load) if level == n)
+    return next(c for level, c in _delay_probs(offered_load) if level == n or c == 0.0)
 
 
 def _wait(lam: float, mu: float, n: int, delay_prob: float) -> float:

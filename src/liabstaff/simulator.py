@@ -95,9 +95,11 @@ def simulate(cfg: SimConfig) -> SimResult:
 
     # Multi-server FIFO recursion (Kiefer & Wolfowitz 1955): each customer
     # takes the server that frees first. free_at is a min-heap of
-    # next-available times; all-zero, it is already a heap.
+    # next-available times; all-zero, it is already a heap. While a zero is
+    # left every customer finds a free server, so more than one server per
+    # customer changes no wait.
     wait_list = array("d")
-    free_at = [0.0] * cfg.n
+    free_at = [0.0] * min(cfg.n, cfg.customers)
     for t, service in zip(memoryview(arrivals), memoryview(services)):
         avail = free_at[0]
         start = t if t > avail else avail

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liabstaff import BASELINE, cli
+from liabstaff import BASELINE, cli, params
+from liabstaff.analysis import regime_map
+from liabstaff.output import render_csv
 
 from oracles import random_valid_params
 
@@ -81,10 +85,17 @@ def test_solve_with_config(tmp_path: Path):
     assert "winner: Regime I" in cp.stdout
 
 
-def test_solve_missing_config_names_path():
-    cp = run_cli("solve", "--config", "/nonexistent/params.cfg")
-    assert cp.returncode == 2
-    assert "/nonexistent/params.cfg" in cp.stderr
+def test_solve_missing_config_names_path(tmp_path: Path):
+    # a missing file, a directory and a file that is not UTF-8 text
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"big_l = 3000\n\xff\n")
+    for path in ("/nonexistent/params.cfg", str(tmp_path), str(binary)):
+        cp = run_cli("solve", "--config", path)
+        assert_usage_error(cp)
+        assert path in cp.stderr
+    assert run_cli("solve", "--config", "/nonexistent/params.cfg").stderr == (
+        "error: config file not found: /nonexistent/params.cfg\n"
+    )
 
 
 def test_solve_bad_config_reports_line(tmp_path: Path):
@@ -173,6 +184,7 @@ def test_scenario_csv(tmp_path: Path):
     manifest = Path(str(out) + ".manifest.json")
     assert manifest.exists()
     payload = json.loads(manifest.read_text())
+    assert set(payload) == {"command", "argv", "params", "tool_version", "timestamp", "outputs"}
     assert payload["command"] == "scenario"
     assert payload["params"]["lam"] == 50.0
 
@@ -229,6 +241,22 @@ def test_regime_map_and_boundary(tmp_path: Path):
     assert not Path(str(early) + ".manifest.json").exists()
 
 
+def test_regime_map_error_cell_is_quoted(capsys):
+    # the offered-load error holds a comma: quoted, the row keeps 7 fields
+    argv = ["regime-map", "--grid", "lambda=1e7:1e7:1", "--grid", "big_l=1000:1000:1"]
+    assert cli.main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert [len(row) for row in rows] == [7, 7]
+    error = regime_map(BASELINE, [1e7], [1000.0])[0].error
+    assert "," in error
+    assert rows[1][6] == error
+    # quotes are doubled, and line breaks kept inside the quotes
+    cells = [['say "hi", then', "one\r\ntwo\nthree"], ["plain", "1.5"]]
+    text = render_csv(["a", "b"], [(cells[0][0], cells[0][1]), ("plain", 1.5)])
+    assert text.startswith('a,b\n"say ""hi"", then","one\r\ntwo\nthree"\nplain,1.5\n')
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b"], *cells]
+
+
 def test_welfare_command(tmp_path: Path):
     out = tmp_path / "welfare.csv"
     cp = run_cli("welfare", "--grid", "big_l=1000:3000:3", "--out", str(out))
@@ -269,6 +297,47 @@ def test_simulate_unstable_exits_1():
         cp = run_cli("simulate", "--lambda", lam, "--mu", mu, "--n", n, "--customers", "100")
         assert_usage_error(cp)
         assert "got 1e-320" in cp.stderr
+
+
+def test_simulate_more_servers_than_customers():
+    # the server list holds at most one server per customer; under a 2 GiB
+    # address-space limit a list of 10**9 servers would fail, not run
+    limit = 2 * 2**30
+
+    def simulate_cli(lam: str, n: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "liabstaff", "simulate", "--lambda", lam, "--mu", "1",
+             "--n", n, "--customers", "100"],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    cp = simulate_cli("1e30", "2" + "0" * 30)
+    assert_usage_error(cp)
+    assert "exceeds the domain limit" in cp.stderr
+    cp = simulate_cli("1", "1000000000")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert "(analytic 0 h)" in cp.stdout
+
+
+def test_rerun_parses_its_config_once(tmp_path: Path, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "welfare.csv"
+    cfg.write_text("big_l = 3000\n")
+    argv = ["welfare", "--grid", "big_l=1000:3000:2", "--config", str(cfg), "--out", str(out)]
+    assert cli.main(argv) == 0
+    parsed = []
+    parse_config = params.parse_config
+
+    def counting(text):
+        parsed.append(text)
+        return parse_config(text)
+
+    # count a parse wherever the CLI looks the parser up
+    monkeypatch.setattr(params, "parse_config", counting)
+    monkeypatch.setattr(cli, "parse_config", counting, raising=False)
+    assert cli.main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
+    assert parsed == ["big_l = 3000\n"]
 
 
 def test_solve_repeated_runs_identical():

@@ -42,6 +42,28 @@ def test_recurrence_equals_summation_on_grid():
             assert erlang_c(n, a) == pytest.approx(erlang_c_direct(n, a), abs=1e-10)
 
 
+def _erlang_c_full_walk(n: int, a: float) -> float:
+    """Erlang C at level n from the Erlang B recurrence walked all the way to n."""
+    b = 1.0
+    for k in range(1, n + 1):
+        b = a * b / (k + a * b)
+    rho = a / n
+    return b / (1.0 - rho * (1.0 - b))
+
+
+def test_erlang_c_equals_full_walk_past_underflow():
+    # erlang_c returns at the first level whose Erlang B has underflowed to 0,
+    # since every later level's is 0 too; the grid reaches far past that level
+    underflowed = 0
+    for a in (0.0, 1e-3, 0.5, 1.0, 7.5, 40.0, 150.0):
+        for n in range(min_staffing(a, 1.0) if a else 1, 700, 7):
+            full = _erlang_c_full_walk(n, a)
+            assert repr(erlang_c(n, a)) == repr(full), (n, a)
+            underflowed += full == 0.0
+    assert underflowed > 300
+    assert erlang_c(10**9, 1.0) == 0.0  # about 180 steps, not 10**9
+
+
 def test_unstable_load_rejected():
     with pytest.raises(UnstableError, match="unstable"):
         erlang_c(5, 5.0)

@@ -116,7 +116,8 @@ def test_coverage_across_seeds():
     assert hits >= n_seeds - 2
 
 
-@pytest.mark.parametrize("lam, mu, n", _VALIDATE_CONFIGS)
+# the last config staffs more servers than any run has customers
+@pytest.mark.parametrize("lam, mu, n", [*_VALIDATE_CONFIGS, (50.0, 12.0, 30_000)])
 @pytest.mark.parametrize(
     "customers, warmup, error_prob, seed",
     [
