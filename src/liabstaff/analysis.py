@@ -12,21 +12,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .params import Mode, ModelParams, validate
+from .params import FIELD_BY_NAME, Mode, ModelParams, validate
 from .physician import physician_utility, threshold
 from .platform_opt import REGIME_I_EPS, optimize_regime
 from .queueing import erlang_c, min_staffing
 from .scenario import optimize_platform, optimize_social
 
-# Parameters exposed to sensitivity sweeps; "lambda" maps to the lam field.
-SWEEPABLE = {
-    "kappa": "kappa",
-    "c_n": "c_n",
-    "big_l": "big_l",
-    "q": "q",
-    "c_w": "c_w",
-    "lambda": "lam",
-}
+# The outside names of the parameters that sensitivity sweeps may vary.
+SWEEPABLE = ("big_l", "c_n", "c_w", "kappa", "lambda", "q")
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -162,12 +155,11 @@ def sensitivity_sweep(p: ModelParams, name: str, grid: list[float]) -> list[Swee
     """Re-optimize the platform at each value of one swept parameter."""
     if name not in SWEEPABLE:
         raise ParameterError(
-            f"unknown sweep parameter {name!r}; valid: {', '.join(sorted(SWEEPABLE))}"
+            f"unknown sweep parameter {name!r}; valid: {', '.join(SWEEPABLE)}"
         )
-    field = SWEEPABLE[name]
     rows = []
     for value in grid:
-        sol = optimize_platform(validate(dataclasses.replace(p, **{field: value})))
+        sol = optimize_platform(validate(dataclasses.replace(p, **{FIELD_BY_NAME[name]: value})))
         win = sol.winner
         rows.append(
             SweepRow(

@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .analysis import (
@@ -29,7 +28,7 @@ from .analysis import (
 )
 from .errors import InfeasibleError, ParameterError, UnstableError
 from .output import render_csv, write_csv, write_manifest
-from .params import BASELINE, ModelParams, parse_config
+from .params import BASELINE, ModelParams, _read, load_params
 from .physician import threshold
 from .platform_opt import RegimeResult
 from .queueing import queue_metrics
@@ -61,18 +60,6 @@ SCENARIO_CSV_HEADER = [
 ]
 
 
-def _read(path: str, what: str) -> str:
-    """An input file's text; a missing, unreadable or non-UTF-8 file is a usage error naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ParameterError(f"{what} not found: {path}") from None
-    except OSError as exc:
-        raise ParameterError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-
-
 def _parse(argv: list[str]) -> tuple[argparse.Namespace, ModelParams | None]:
     """Parse a run's argv and resolve its parameter set once: --config, else
     $LIABSTAFF_CONFIG, else the baseline; None for a command without --config."""
@@ -81,7 +68,7 @@ def _parse(argv: list[str]) -> tuple[argparse.Namespace, ModelParams | None]:
     if not hasattr(args, "config"):
         return args, None
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    return args, parse_config(_read(path, "config file")) if path else BASELINE
+    return args, load_params(path) if path else BASELINE
 
 
 def _parse_grid(spec: str) -> tuple[str, list[float]]:

@@ -66,11 +66,11 @@ BASELINE = ModelParams()
 BOX_LO = 1e-30
 BOX_HI = 1e30
 MIN_ACCURACY_GAP = 1e-30
-# (field, name in messages, boxed): q and h are bounded by their ordering
-_FIELDS = tuple(
-    (f.name, "lambda" if f.name == "lam" else f.name, f.name not in ("q", "h"))
-    for f in dataclasses.fields(ModelParams)
-)
+# Each parameter's outside name, in config keys, messages and sweeps, mapped
+# to its field, in field order; "lambda" is a Python keyword, so it names lam.
+FIELD_BY_NAME = {
+    "lambda" if f.name == "lam" else f.name: f.name for f in dataclasses.fields(ModelParams)
+}
 
 
 def validate(p: ModelParams) -> ModelParams:
@@ -96,8 +96,8 @@ def validate(p: ModelParams) -> ModelParams:
       theta_unconstrained = lam L P / (2 kappa N) <= 1e90.
     """
     problems = []
-    for field, name, boxed in _FIELDS:
-        value = getattr(p, field)
+    for name, field in FIELD_BY_NAME.items():
+        value, boxed = getattr(p, field), field not in ("q", "h")  # q, h: bounded by their order
         if not math.isfinite(value):
             problems.append(f"{name} must be finite")
         elif boxed and not value > 0:
@@ -133,13 +133,6 @@ def mode_attrs(m: Mode, p: ModelParams) -> tuple[float, float, float]:
     return p.mu_i, 1.0 - p.h, p.k_i
 
 
-# Config-file keys; "lambda" is a Python keyword so it maps to the lam field.
-_KEY_TO_FIELD = {
-    "lambda": "lam",
-    **{f.name: f.name for f in dataclasses.fields(ModelParams) if f.name != "lam"},
-}
-
-
 def parse_config(text: str) -> ModelParams:
     """Parse line-oriented ``key = value`` config text into validated params.
 
@@ -155,9 +148,9 @@ def parse_config(text: str) -> ModelParams:
             raise ParameterError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        if key not in _KEY_TO_FIELD:
+        if key not in FIELD_BY_NAME:
             raise ParameterError(f"line {lineno}: unknown key {key!r}")
-        field = _KEY_TO_FIELD[key]
+        field = FIELD_BY_NAME[key]
         if field in values:
             raise ParameterError(f"line {lineno}: duplicate key {key!r}")
         try:
@@ -169,6 +162,20 @@ def parse_config(text: str) -> ModelParams:
     return validate(ModelParams(**values))
 
 
+def _read(path: str | Path, what: str) -> str:
+    """An input file's text; a missing, unreadable or non-UTF-8 file raises
+    ParameterError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParameterError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_params(path: str | Path) -> ModelParams:
-    """Read and validate a config file; see :func:`parse_config`."""
-    return parse_config(Path(path).read_text())
+    """Read a UTF-8 config file and validate it; see :func:`parse_config`.
+    A missing, unreadable or non-UTF-8 file raises ParameterError naming it."""
+    return parse_config(_read(path, "config file"))

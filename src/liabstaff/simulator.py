@@ -58,8 +58,10 @@ def _resolve_warmup(cfg: SimConfig) -> int:
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """Run one replication: FIFO single queue, n >= min_staffing(lam, mu)
-    servers, with lam and mu in validate's box [BOX_LO, BOX_HI]."""
+    """Run one replication: FIFO single queue, n servers with
+    min_staffing(lam, mu) <= n <= BOX_HI, lam and mu in validate's box
+    [BOX_LO, BOX_HI] and a nonnegative seed; else raise ParameterError, or
+    UnstableError for too few servers."""
     from array import array
 
     import numpy as np
@@ -83,6 +85,10 @@ def simulate(cfg: SimConfig) -> SimResult:
         raise ParameterError(
             f"need at least {N_BATCHES} counted customers for batch means, got {counted}"
         )
+    if cfg.n > BOX_HI:  # servers beyond the customers change no wait
+        raise ParameterError(f"n must not exceed {BOX_HI:g}")
+    if cfg.seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {cfg.seed}")
 
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_arrivals = np.random.Generator(np.random.PCG64(streams[0]))

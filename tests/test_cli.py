@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liabstaff import BASELINE, cli, params
-from liabstaff.analysis import regime_map
+from liabstaff import BASELINE, cli, min_staffing, params
+from liabstaff.analysis import SWEEPABLE, regime_map
 from liabstaff.output import render_csv
 
 from oracles import random_valid_params
@@ -312,12 +311,27 @@ def test_simulate_more_servers_than_customers():
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
 
-    cp = simulate_cli("1e30", "2" + "0" * 30)
+    cp = simulate_cli("1e29", "1" + "0" * 30)
     assert_usage_error(cp)
     assert "exceeds the domain limit" in cp.stderr
     cp = simulate_cli("1", "1000000000")
     assert (cp.returncode, cp.stderr) == (0, "")
     assert "(analytic 0 h)" in cp.stdout
+
+
+def test_simulate_seed_and_server_bounds_exit_2(capsys):
+    # numpy rejects a negative seed, and float(n) overflows past 1e308
+    for argv, message in (
+        (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", "200",
+          "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["validate", "--customers", "2000", "--seed", "-3"], "seed must be nonnegative, got -3"),
+        (["simulate", "--lambda", "50", "--mu", "12", "--n", "1" + "0" * 309,
+          "--customers", "200"], "n must not exceed 1e+30"),
+        (["simulate", "--lambda", "1e30", "--mu", "1", "--n", "2" + "0" * 30,
+          "--customers", "100"], "n must not exceed 1e+30"),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_rerun_parses_its_config_once(tmp_path: Path, monkeypatch):
@@ -607,11 +621,12 @@ def test_in_process_usage_error_after_success(capsys):
 
 # The exit-code contract under fuzzing: configs with calibrated, extreme and
 # non-finite values (lambda up to 1e6) drive every planning command in
-# process. Grids hold one or two points so that large offered loads stay fast.
+# process, and any rates, seeds and server counts drive the simulator. Grids
+# hold one or two points and runs at most 2000 customers, so each run is fast.
 
 _ANY_FLOAT = st.floats()  # zero, negative, tiny, huge, inf and nan included
 _SHARE = st.one_of(st.floats(0.0, 1.0), _ANY_FLOAT)
-_CONFIG_KEYS = ["lambda" if f.name == "lam" else f.name for f in dataclasses.fields(BASELINE)]
+_CONFIG_KEYS = list(params.FIELD_BY_NAME)
 
 
 @st.composite
@@ -619,7 +634,7 @@ def _configs(draw) -> dict:
     """A random calibrated parameter set with lambda up to 1e6 and at most
     two keys set to arbitrary floats."""
     p = random_valid_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-    config = dict(zip(_CONFIG_KEYS, dataclasses.astuple(p)))
+    config = {name: getattr(p, field) for name, field in params.FIELD_BY_NAME.items()}
     config["lambda"] = draw(st.floats(1e-3, 1e6))
     config.update(draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _ANY_FLOAT, max_size=2)))
     return config
@@ -635,16 +650,51 @@ _ARGV = st.one_of(
     st.builds(lambda lo, hi: ["solve", "--json", f"--theta-lo={lo!r}", f"--theta-hi={hi!r}"],
               _SHARE, _SHARE),
     st.just(["solve"]),
+    st.sampled_from([["threshold"], ["threshold", "--json"]]),
     st.builds(lambda a, t: ["scenario", f"--alpha={a!r}", f"--theta-floor={t!r}"],
               _SHARE, _SHARE),
     st.just(["scenario"]),
     st.builds(lambda grid: ["sweep", "--grid", grid],
-              st.sampled_from(["kappa", "c_n", "big_l", "q", "c_w", "lambda", "mu_a"]).flatmap(_grid)),
+              st.sampled_from([*SWEEPABLE, "mu_a"]).flatmap(_grid)),  # mu_a: refused
     st.builds(lambda grid: ["welfare", "--grid", grid], _grid("big_l")),
     st.builds(lambda lam, big_l: ["regime-map", "--grid", lam, "--grid", big_l],
               _grid("lambda"), _grid("big_l")),
     st.builds(lambda which, n: ["figure", "--which", which, "--npoints", str(n)],
               st.sampled_from(cli.FIGURE_IDS), st.integers(0, 3)),
+)
+
+_CUSTOMERS = st.integers(-10, 2000)
+_SEED = st.integers(-(2**64), 2**64)
+# simulate's options and the arbitrary values each may take: any float, a
+# negative seed, n past 1e308
+_SIM_OPTIONS = {
+    "lambda": _ANY_FLOAT,
+    "mu": _ANY_FLOAT,
+    "n": st.builds(lambda m, e: m * 10**e, st.integers(-1, 9), st.integers(0, 310)),
+    "customers": _CUSTOMERS,
+    "seed": _SEED,
+    "error-prob": _ANY_FLOAT,
+    "warmup": _CUSTOMERS,
+}
+
+
+@st.composite
+def _simulate_argv(draw) -> list[str]:
+    """simulate on a random stable M/M/N queue with an offered load up to
+    1000, with one or two options set to arbitrary values."""
+    lam, mu = draw(st.floats(0.1, 100)), draw(st.floats(0.1, 100))
+    options = {"lambda": lam, "mu": mu, "n": min_staffing(lam, mu) + draw(st.integers(0, 3)),
+               "customers": draw(st.integers(30, 2000)), "seed": draw(st.integers(0, 2**64)),
+               "error-prob": draw(st.floats(0.0, 1.0))}
+    options.update(draw(st.lists(st.sampled_from(list(_SIM_OPTIONS)).flatmap(
+        lambda name: st.tuples(st.just(name), _SIM_OPTIONS[name])), min_size=1, max_size=2)))
+    return ["simulate", *(f"--{name}={value!r}" for name, value in options.items())]
+
+
+_SIM_ARGV = st.one_of(
+    _simulate_argv(),
+    st.builds(lambda customers, seed: ["validate", f"--customers={customers}", f"--seed={seed}"],
+              _CUSTOMERS, _SEED),
 )
 
 
@@ -672,20 +722,36 @@ def fuzz_config(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(config=_configs(), argv=_ARGV)
-def test_exit_code_contract_under_fuzzed_configs(fuzz_config: Path, config, argv):
-    fuzz_config.write_text("".join(f"{key} = {value!r}\n" for key, value in config.items()))
+def _assert_exit_code_contract(argv: list[str]) -> None:
+    """Run argv in process: exit 0, 1 or 2, an error or usage line on a
+    nonzero exit but for validate's failed comparison, and finite numbers on
+    success."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main([*argv, "--config", str(fuzz_config)])
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code:
-        assert err.getvalue().startswith(("error: ", "usage: "))
+        assert (err.getvalue().startswith(("error: ", "usage: "))
+                or ((argv[0], code, err.getvalue()) == ("validate", 1, "")
+                    and "FAIL" in out.getvalue()))
     else:
         assert _non_finite_numbers(argv[0], out.getvalue() + err.getvalue()) == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=_configs(), argv=_ARGV)
+def test_exit_code_contract_under_fuzzed_configs(fuzz_config: Path, config, argv):
+    fuzz_config.write_text("".join(f"{key} = {value!r}\n" for key, value in config.items()))
+    _assert_exit_code_contract([*argv, "--config", str(fuzz_config)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_SIM_ARGV)
+def test_exit_code_contract_under_fuzzed_simulations(argv):
+    _assert_exit_code_contract(argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from liabstaff import (
     Mode,
     ModelParams,
     ParameterError,
+    cli,
     compare_scenarios,
+    load_params,
     make_scenario,
     mode_attrs,
     optimize_platform,
@@ -157,6 +160,22 @@ def test_config_round_trip_and_defaults():
     assert p.big_l == 2500.0
     assert p.mu_a == BASELINE.mu_a
     assert p.w == DEFAULT_WAGE
+
+
+def test_load_params_reads_utf8_and_names_a_bad_path(tmp_path, capsys):
+    good = tmp_path / "good.cfg"
+    text = "lambda = 60  # \u03bb, patients per hour\nbig_l = 2500\n"
+    good.write_bytes(text.encode("utf-8"))
+    assert load_params(good) == load_params(str(good)) == parse_config(text)
+    # a missing file, a directory and a file that is not UTF-8 text fail as
+    # the CLI reports them
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"big_l = 3000\n\xff\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        with pytest.raises(ParameterError, match=re.escape(str(path))) as exc:
+            load_params(path)
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_config_unknown_key_is_error():

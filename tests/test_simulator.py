@@ -5,6 +5,7 @@ import pytest
 from liabstaff import (
     BASELINE,
     Mode,
+    ParameterError,
     Policy,
     SimConfig,
     UnstableError,
@@ -79,6 +80,17 @@ def test_too_few_customers_for_batches_rejected():
 def test_bad_warmup_rejected():
     with pytest.raises(ValueError, match="warmup"):
         simulate(SimConfig(lam=50, mu=12, n=5, customers=100, warmup=100, seed=0))
+
+
+def test_negative_seed_and_too_many_servers_rejected():
+    with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
+        simulate(SimConfig(lam=50, mu=12, n=5, customers=100, seed=-1))
+    with pytest.raises(ParameterError, match=r"n must not exceed 1e\+30"):
+        simulate(SimConfig(lam=50, mu=12, n=10**309, customers=100, seed=0))
+    # servers up to the bound run, with finite numbers
+    res = simulate(SimConfig(lam=50, mu=12, n=10**30, customers=100, seed=0))
+    assert res.mean_wait == 0.0
+    assert 0.0 < res.utilization < 1e-28
 
 
 def test_simulate_policy_matches_analytic_cost():
