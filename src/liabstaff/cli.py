@@ -27,10 +27,10 @@ from .analysis import (
     welfare_curve,
 )
 from .errors import InfeasibleError, ParameterError, UnstableError
-from .output import render_csv, write_csv, write_manifest
+from .output import render_csv, to_json, write_csv, write_manifest
 from .params import BASELINE, ModelParams, _read, load_params
 from .physician import threshold
-from .platform_opt import RegimeResult
+from .platform_opt import CostBreakdown, RegimeResult
 from .queueing import queue_metrics
 from .scenario import (
     DEFAULT_ALPHA,
@@ -40,24 +40,16 @@ from .scenario import (
     make_scenario,
     optimize_platform,
 )
-from .simulator import SimConfig, simulate
+from .simulator import SimConfig, check_config, simulate
 
 CONFIG_ENV_VAR = "LIABSTAFF_CONFIG"
 
 DEFAULT_L_GRID = "big_l=800:5000:25"
 
-SCENARIO_CSV_HEADER = [
-    "id",
-    "mode",
-    "theta",
-    "n",
-    "risk",
-    "congestion",
-    "staffing",
-    "compliance",
-    "total",
-    "pct_vs_s1",
-]
+# the four cost terms, then their total
+_COST_FIELDS = [f.name for f in dataclasses.fields(CostBreakdown)]
+
+SCENARIO_CSV_HEADER = ["id", "mode", "theta", "n", *_COST_FIELDS, "pct_vs_s1"]
 
 
 def _parse(argv: list[str]) -> tuple[argparse.Namespace, ModelParams | None]:
@@ -109,8 +101,7 @@ def _regime_summary(label: str, res: RegimeResult, thousands: bool) -> list[str]
     b, c = res.best, res.cost
     return [
         f"{label}: theta={b.theta:.6g}, N={b.n}, total={_money(c.total, thousands)}",
-        f"  risk={_money(c.risk, thousands)} congestion={_money(c.congestion, thousands)}"
-        f" staffing={_money(c.staffing, thousands)} compliance={_money(c.compliance, thousands)}",
+        "  " + " ".join(f"{name}={_money(getattr(c, name), thousands)}" for name in _COST_FIELDS[:-1]),
     ]
 
 
@@ -119,7 +110,7 @@ def _cmd_solve(args, p: ModelParams) -> int:
     rep = threshold(p)
     win, lose = sol.winner, (sol.regime_i if sol.winner is sol.regime_a else sol.regime_a)
     if args.json:
-        print(json.dumps(_solution_dict(sol, rep), indent=2, sort_keys=True))
+        print(to_json(_solution_dict(sol, rep)))
         return 0
     print(f"winner: Regime {win.regime.value}, theta={win.best.theta:.6g}, N={win.best.n}")
     for line in _regime_summary(f"Regime {win.regime.value} (winner)", win, args.thousands):
@@ -133,19 +124,19 @@ def _cmd_solve(args, p: ModelParams) -> int:
 def _solution_dict(sol, rep) -> dict:
     def reg(r: RegimeResult) -> dict:
         if not r.feasible:
-            return {"regime": r.regime.value, "feasible": False}
+            return {"regime": r.regime, "feasible": False}
         return {
-            "regime": r.regime.value,
+            "regime": r.regime,
             "feasible": True,
             "theta": r.best.theta,
             "n": r.best.n,
-            "cost": dataclasses.asdict(r.cost),
+            "cost": r.cost,
             "theta_unconstrained": r.theta_unconstrained,
-            "n_searched": list(r.n_searched),
+            "n_searched": r.n_searched,
         }
 
     return {
-        "winner": sol.winner.regime.value,
+        "winner": sol.winner.regime,
         "regime_a": reg(sol.regime_a),
         "regime_i": reg(sol.regime_i),
         "theta_d": rep.theta_d,
@@ -155,7 +146,7 @@ def _solution_dict(sol, rep) -> dict:
 def _cmd_threshold(args, p: ModelParams) -> int:
     rep = threshold(p)
     if args.json:
-        print(json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True))
+        print(to_json(rep))
         return 0
     print(f"theta_d = {rep.theta_d:.12g}")
     print(f"d/dq      = {rep.d_dq:.12g}")
@@ -169,43 +160,21 @@ def _cmd_scenario(args, p: ModelParams) -> int:
     ids = [s.strip().upper() for s in args.scenarios.split(",") if s.strip()]
     specs = [make_scenario(sid, alpha=args.alpha, theta_floor=args.theta_floor) for sid in ids]
     rows = compare_scenarios(specs, p)
-    csv_rows = []
-    for row in rows:
-        r = row.result
-        if r.feasible:
-            csv_rows.append(
-                (
-                    r.id,
-                    r.policy.mode,
-                    r.policy.theta,
-                    r.policy.n,
-                    r.cost.risk,
-                    r.cost.congestion,
-                    r.cost.staffing,
-                    r.cost.compliance,
-                    r.cost.total,
-                    row.pct_vs_s1,
-                )
-            )
-        else:
-            csv_rows.append((r.id, None, None, None, None, None, None, None, None, None))
+    results = [(row.result, row.pct_vs_s1) for row in rows]
     if args.json:
-        payload = [
-            {
-                "id": row.result.id,
-                "feasible": row.result.feasible,
-                "reason": row.result.reason,
-                "policy": dataclasses.asdict(row.result.policy) if row.result.feasible else None,
-                "cost": dataclasses.asdict(row.result.cost) if row.result.feasible else None,
-                "pct_vs_s1": row.pct_vs_s1,
-            }
-            for row in rows
-        ]
-        for item in payload:
-            if item["policy"]:
-                item["policy"]["mode"] = item["policy"]["mode"].value
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(to_json([
+            {"id": r.id, "feasible": r.feasible, "reason": r.reason,
+             "policy": r.policy, "cost": r.cost, "pct_vs_s1": pct}
+            for r, pct in results
+        ]))
         return 0
+    blank = [None] * (len(SCENARIO_CSV_HEADER) - 1)
+    csv_rows = [
+        (r.id, r.policy.mode, r.policy.theta, r.policy.n,
+         *[getattr(r.cost, name) for name in _COST_FIELDS], pct)
+        if r.feasible else (r.id, *blank)
+        for r, pct in results
+    ]
     _emit(args, p, SCENARIO_CSV_HEADER, csv_rows)
     _print_scenario_notes(rows, args.thousands)
     return 0
@@ -244,7 +213,7 @@ def _cmd_regime_map(args, p: ModelParams) -> int:
     cells = regime_map(p, lam_grid, l_grid)
     header = ["lambda", "big_l", "winner", "theta_star", "n_star", "total", "error"]
     rows = [
-        (c.lam, c.big_l, c.winner, c.theta_star, c.n_star, c.total, c.error or "")
+        (c.lam, c.big_l, c.winner, c.theta_star, c.n_star, c.total, c.error)
         for c in cells
     ]
     _emit(args, p, header, rows)
@@ -289,6 +258,14 @@ def _cmd_figure(args, p: ModelParams) -> int:
     return 0
 
 
+def _simulate_checked(cfg: SimConfig):
+    """Check cfg, then the analytic domain, before any customer is simulated:
+    the (SimResult, QueueMetrics) pair of one configuration."""
+    check_config(cfg)
+    analytic = queue_metrics(cfg.lam, cfg.mu, cfg.n)
+    return simulate(cfg), analytic
+
+
 def _cmd_simulate(args, _p: None) -> int:
     cfg = SimConfig(
         lam=args.lam,
@@ -299,40 +276,25 @@ def _cmd_simulate(args, _p: None) -> int:
         warmup=args.warmup,
         error_prob=args.error_prob,
     )
-    result = simulate(cfg)
-    analytic = queue_metrics(cfg.lam, cfg.mu, cfg.n)
-    header = [
-        "mean_wait",
-        "wait_stderr",
-        "mean_system_time",
-        "system_time_stderr",
-        "utilization",
-        "utilization_stderr",
-        "error_rate",
-        "error_rate_stderr",
-        "customers_counted",
-        "analytic_w_q",
-        "analytic_rho",
-        "rng_algorithm",
-        "seed",
-    ]
-    row = (
-        result.mean_wait,
-        result.wait_stderr,
-        result.mean_system_time,
-        result.system_time_stderr,
-        result.utilization,
-        result.utilization_stderr,
-        result.error_rate,
-        result.error_rate_stderr,
-        result.customers_counted,
-        analytic.w_q,
-        analytic.rho,
-        result.rng_algorithm,
-        args.seed,
-    )
+    result, analytic = _simulate_checked(cfg)
     if args.out:
-        _emit(args, None, header, [row])
+        columns = [
+            ("mean_wait", result.mean_wait),
+            ("wait_stderr", result.wait_stderr),
+            ("mean_system_time", result.mean_system_time),
+            ("system_time_stderr", result.system_time_stderr),
+            ("utilization", result.utilization),
+            ("utilization_stderr", result.utilization_stderr),
+            ("error_rate", result.error_rate),
+            ("error_rate_stderr", result.error_rate_stderr),
+            ("customers_counted", result.customers_counted),
+            ("analytic_w_q", analytic.w_q),
+            ("analytic_rho", analytic.rho),
+            ("rng_algorithm", result.rng_algorithm),
+            ("seed", args.seed),
+        ]
+        header, row = zip(*columns)
+        _emit(args, None, list(header), [row])
     else:
         print(f"mean_wait = {result.mean_wait:.6g} +- {result.wait_stderr:.2g} h "
               f"(analytic {analytic.w_q:.6g} h)")
@@ -348,9 +310,10 @@ def _cmd_validate(args, _p: None) -> int:
     ok = True
     print(f"{'lambda':>8} {'mu':>6} {'n':>3} {'sim_wq':>10} {'analytic':>10} {'stderr':>9}  result")
     for lam, mu, n in _VALIDATE_CONFIGS:
-        cfg = SimConfig(lam=lam, mu=mu, n=n, customers=args.customers, seed=args.seed)
-        res = simulate(cfg)
-        wq = queue_metrics(lam, mu, n).w_q
+        res, analytic = _simulate_checked(
+            SimConfig(lam=lam, mu=mu, n=n, customers=args.customers, seed=args.seed)
+        )
+        wq = analytic.w_q
         passed = abs(res.mean_wait - wq) <= 3.0 * res.wait_stderr
         ok = ok and passed
         print(

@@ -1,10 +1,11 @@
-"""CSV and run-manifest emission.
+"""CSV, JSON and run-manifest emission.
 
 CSV contract: `.` decimal separator, 12 significant digits, LF line endings,
 no timestamps — repeated runs of a deterministic command must be
 byte-identical. A cell holding a comma, quote or line break is quoted as
-RFC 4180 does. Each output file gets a sidecar JSON manifest recording the
-run: its command, argv and parameters.
+RFC 4180 does. Every JSON document, the CLI's --json output and the
+manifests alike, is written by to_json. Each output file gets a sidecar JSON
+manifest recording the run: its command, argv and parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .params import ModelParams
+from .params import Mode, ModelParams
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -30,11 +31,28 @@ def fmt(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return f"{value:.12g}"
-    # enums render as their payload
-    text = str(value.value) if hasattr(value, "value") else str(value)
+    text = str(_plain(value) if type(value) is Mode else value)
     if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _plain(obj):
+    """A Mode as its letter and a dataclass as a dict of its fields, read by
+    attribute: how CSV cells and JSON documents write them. Mode is tested by
+    type, which a CSV cell pays for, not by the slower isinstance on an enum
+    class; an enum with members has no subclasses."""
+    if type(obj) is Mode:
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def to_json(obj) -> str:
+    """The one JSON writer: two-space indent, sorted keys, modes and
+    dataclasses written by _plain."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain)
 
 
 def render_csv(header: list[str], rows: list[tuple]) -> str:
@@ -64,11 +82,11 @@ def write_manifest(
     payload = {
         "command": command,
         "argv": argv,
-        "params": None if params is None else dataclasses.asdict(params),
+        "params": params,
         "tool_version": version,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(out_path)],
     }
     path = manifest_path(out_path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(to_json(payload) + "\n")
     return path

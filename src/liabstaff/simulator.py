@@ -15,6 +15,7 @@ numpy arrays one element at a time, so the waits are bit-identical to it.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, UnstableError
@@ -53,23 +54,19 @@ class SimResult:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _resolve_warmup(cfg: SimConfig) -> int:
-    return cfg.customers // 10 if cfg.warmup is None else cfg.warmup
-
-
-def simulate(cfg: SimConfig) -> SimResult:
-    """Run one replication: FIFO single queue, n servers with
-    min_staffing(lam, mu) <= n <= BOX_HI, lam and mu in validate's box
-    [BOX_LO, BOX_HI] and a nonnegative seed; else raise ParameterError, or
-    UnstableError for too few servers."""
-    from array import array
-
-    import numpy as np
-
+def check_config(cfg: SimConfig) -> int:
+    """The warmup of a replication with n servers, min_staffing(lam, mu) <= n
+    <= BOX_HI, lam and mu in validate's box [BOX_LO, BOX_HI], customers >
+    warmup >= 0 with customers at most sys.maxsize (the longest array numpy
+    can index), at least N_BATCHES counted customers, error_prob in [0, 1]
+    and a nonnegative seed; else raise ParameterError, or UnstableError for
+    too few servers."""
     for name, rate in (("lambda", cfg.lam), ("mu", cfg.mu)):
         if not BOX_LO <= rate <= BOX_HI:
             raise ParameterError(f"{name} must lie in [{BOX_LO:g}, {BOX_HI:g}], got {rate!r}")
-    warmup = _resolve_warmup(cfg)
+    if cfg.customers > sys.maxsize:
+        raise ParameterError(f"customers must not exceed {sys.maxsize}, got {cfg.customers}")
+    warmup = cfg.customers // 10 if cfg.warmup is None else cfg.warmup
     if not 0 <= warmup < cfg.customers:
         raise ParameterError("need customers > warmup >= 0")
     n_min = min_staffing(cfg.lam, cfg.mu)
@@ -89,6 +86,18 @@ def simulate(cfg: SimConfig) -> SimResult:
         raise ParameterError(f"n must not exceed {BOX_HI:g}")
     if cfg.seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {cfg.seed}")
+    return warmup
+
+
+def simulate(cfg: SimConfig) -> SimResult:
+    """Run one replication: FIFO single queue, n servers; a configuration
+    that check_config rejects raises its error before any draw."""
+    from array import array
+
+    import numpy as np
+
+    warmup = check_config(cfg)
+    counted = cfg.customers - warmup
 
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_arrivals = np.random.Generator(np.random.PCG64(streams[0]))

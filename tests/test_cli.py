@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import csv
 import io
 import json
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liabstaff import BASELINE, cli, min_staffing, params
+from liabstaff import BASELINE, SimConfig, cli, min_staffing, params, queue_metrics, simulate
 from liabstaff.analysis import SWEEPABLE, regime_map
-from liabstaff.output import render_csv
+from liabstaff.output import fmt, render_csv
 
 from oracles import random_valid_params
 
@@ -274,6 +275,13 @@ def test_figure_command(tmp_path: Path):
         assert_usage_error(run_cli("figure", "--which", "fig2", "--npoints", npoints))
 
 
+SIMULATE_CSV_HEADER = (
+    "mean_wait,wait_stderr,mean_system_time,system_time_stderr,utilization,"
+    "utilization_stderr,error_rate,error_rate_stderr,customers_counted,analytic_w_q,"
+    "analytic_rho,rng_algorithm,seed"
+)
+
+
 def test_simulate_csv_and_determinism(tmp_path: Path):
     a = tmp_path / "sim_a.csv"
     b = tmp_path / "sim_b.csv"
@@ -282,9 +290,28 @@ def test_simulate_csv_and_determinism(tmp_path: Path):
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+    header, row = a.read_text().splitlines()
+    assert header == SIMULATE_CSV_HEADER
+    # each column holds the value its name says
+    cells = dict(zip(header.split(","), row.split(",")))
+    res = simulate(SimConfig(lam=50, mu=12, n=5, customers=20000, seed=9))
+    analytic = queue_metrics(50, 12, 5)
+    assert cells == {**{f.name: fmt(getattr(res, f.name)) for f in dataclasses.fields(res)},
+                     "analytic_w_q": fmt(analytic.w_q), "analytic_rho": fmt(analytic.rho), "seed": "9"}
     manifest = json.loads(Path(str(a) + ".manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["params"] is None  # simulate uses no model parameters
+
+
+def test_simulate_checks_offered_load_before_simulating(monkeypatch, capsys):
+    # above the analytic domain the run ends before any customer is drawn
+    def no_simulation(cfg):
+        pytest.fail("simulate ran before the offered-load check")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    argv = ["simulate", "--lambda", "1e29", "--mu", "1", "--n", "1" + "0" * 30]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: offered load 1e+29 exceeds the domain limit 1e+06\n"
 
 
 def test_simulate_unstable_exits_1():
@@ -320,7 +347,9 @@ def test_simulate_more_servers_than_customers():
 
 
 def test_simulate_seed_and_server_bounds_exit_2(capsys):
-    # numpy rejects a negative seed, and float(n) overflows past 1e308
+    # numpy rejects a negative seed, float(n) overflows past 1e308, and numpy
+    # indexes at most sys.maxsize customers
+    huge = "1" + "0" * 20
     for argv, message in (
         (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", "200",
           "--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -329,6 +358,9 @@ def test_simulate_seed_and_server_bounds_exit_2(capsys):
           "--customers", "200"], "n must not exceed 1e+30"),
         (["simulate", "--lambda", "1e30", "--mu", "1", "--n", "2" + "0" * 30,
           "--customers", "100"], "n must not exceed 1e+30"),
+        (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", huge],
+         f"customers must not exceed {sys.maxsize}, got {huge}"),
+        (["validate", "--customers", huge], f"customers must not exceed {sys.maxsize}, got {huge}"),
     ):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -472,6 +504,163 @@ WELFARE_CSV_BIG_L_3 = (
     "5000,14553.207956,16090.4465703,-1537.23861433,-9.55373492964\n"
 )
 
+# The manifest of the welfare run above, its timestamp and output path masked.
+WELFARE_MANIFEST = """\
+{
+  "argv": [
+    "welfare",
+    "--grid",
+    "big_l=800:5000:3",
+    "--out",
+    "OUT"
+  ],
+  "command": "welfare",
+  "outputs": [
+    "OUT"
+  ],
+  "params": {
+    "big_l": 2000.0,
+    "c_n": 200.0,
+    "c_w": 150.0,
+    "h": 0.95,
+    "k_a": 50.0,
+    "k_i": 110.0,
+    "kappa": 2500.0,
+    "lam": 50.0,
+    "mu_a": 12.0,
+    "mu_i": 6.0,
+    "q": 0.9,
+    "w": 300.0
+  },
+  "timestamp": "T",
+  "tool_version": "0.1.0"
+}
+"""
+
+# Pinned stdout of the text and JSON reports.
+SOLVE_TEXT_DEFAULT = """\
+winner: Regime A, theta=0.4, N=5
+Regime A (winner): theta=0.4, N=5, total=10090.1
+  risk=6000 congestion=1090.11 staffing=1000 compliance=2000
+Regime I (runner-up): theta=0.600001, N=9, total=14575.8
+  risk=1999.99 congestion=2675.73 staffing=1800 compliance=8100.03
+physician threshold theta_d=0.6
+"""
+
+SOLVE_TEXT_THOUSANDS = """\
+winner: Regime A, theta=0.4, N=5
+Regime A (winner): theta=0.4, N=5, total=10.0901k
+  risk=6k congestion=1.09011k staffing=1k compliance=2k
+Regime I (runner-up): theta=0.600001, N=9, total=14.5758k
+  risk=1.99999k congestion=2.67573k staffing=1.8k compliance=8.10003k
+physician threshold theta_d=0.6
+"""
+
+THRESHOLD_JSON_DEFAULT = """\
+{
+  "d_ddelta_k": 0.010000000000000012,
+  "d_dh": -12.000000000000032,
+  "d_dl": -0.00030000000000000035,
+  "d_dq": 12.000000000000032,
+  "theta_d": 0.6000000000000008
+}
+"""
+
+SCENARIO_JSON_DEFAULT = """\
+[
+  {
+    "cost": {
+      "compliance": 6250.0,
+      "congestion": 1615.7079560044474,
+      "risk": 2500.0000000000023,
+      "staffing": 2000.0,
+      "total": 12365.70795600445
+    },
+    "feasible": true,
+    "id": "S0",
+    "pct_vs_s1": 22.552752041677834,
+    "policy": {
+      "mode": "I",
+      "n": 10,
+      "theta": 0.5
+    },
+    "reason": null
+  },
+  {
+    "cost": {
+      "compliance": 1999.999999999999,
+      "congestion": 1090.1103810374752,
+      "risk": 5999.999999999999,
+      "staffing": 1000.0,
+      "total": 10090.110381037473
+    },
+    "feasible": true,
+    "id": "S1",
+    "pct_vs_s1": 0.0,
+    "policy": {
+      "mode": "A",
+      "n": 5,
+      "theta": 0.3999999999999999
+    },
+    "reason": null
+  },
+  {
+    "cost": {
+      "compliance": 1999.999999999999,
+      "congestion": 1090.1103810374752,
+      "risk": 5999.999999999999,
+      "staffing": 1000.0,
+      "total": 10090.110381037473
+    },
+    "feasible": true,
+    "id": "S2",
+    "pct_vs_s1": 0.0,
+    "policy": {
+      "mode": "A",
+      "n": 5,
+      "theta": 0.3999999999999999
+    },
+    "reason": null
+  },
+  {
+    "cost": {
+      "compliance": 1999.999999999999,
+      "congestion": 1090.1103810374752,
+      "risk": 5999.999999999999,
+      "staffing": 1000.0,
+      "total": 10090.110381037473
+    },
+    "feasible": true,
+    "id": "S3",
+    "pct_vs_s1": 0.0,
+    "policy": {
+      "mode": "A",
+      "n": 5,
+      "theta": 0.3999999999999999
+    },
+    "reason": null
+  },
+  {
+    "cost": {
+      "compliance": 0.0,
+      "congestion": 1390.4465703298495,
+      "risk": 5000.000000000005,
+      "staffing": 2200.0,
+      "total": 8590.446570329854
+    },
+    "feasible": true,
+    "id": "S4",
+    "pct_vs_s1": -14.862709663969236,
+    "policy": {
+      "mode": "I",
+      "n": 11,
+      "theta": 0.0
+    },
+    "reason": null
+  }
+]
+"""
+
 
 @pytest.mark.parametrize(
     "flags, expected",
@@ -486,6 +675,23 @@ def test_welfare_csv_golden_bytes(tmp_path: Path, capsys):
     out = tmp_path / "welfare.csv"
     assert cli.main(["welfare", "--grid", "big_l=800:5000:3", "--out", str(out)]) == 0
     assert out.read_bytes() == WELFARE_CSV_BIG_L_3.encode()
+    manifest = Path(str(out) + ".manifest.json").read_text()
+    manifest = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "T"', manifest)
+    assert manifest.replace(str(out), "OUT") == WELFARE_MANIFEST
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve"], SOLVE_TEXT_DEFAULT),
+        (["solve", "--thousands"], SOLVE_TEXT_THOUSANDS),
+        (["threshold", "--json"], THRESHOLD_JSON_DEFAULT),
+        (["scenario", "--json"], SCENARIO_JSON_DEFAULT),
+    ],
+)
+def test_stdout_golden_bytes(capsys, argv, expected):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_regime_map_repeated_runs_byte_identical(tmp_path: Path):

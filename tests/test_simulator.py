@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -85,6 +86,9 @@ def test_bad_warmup_rejected():
 def test_negative_seed_and_too_many_servers_rejected():
     with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
         simulate(SimConfig(lam=50, mu=12, n=5, customers=100, seed=-1))
+    # sys.maxsize is the longest array numpy can index
+    with pytest.raises(ParameterError, match=f"customers must not exceed {sys.maxsize}, got {10**20}"):
+        simulate(SimConfig(lam=50, mu=12, n=5, customers=10**20, seed=0))
     with pytest.raises(ParameterError, match=r"n must not exceed 1e\+30"):
         simulate(SimConfig(lam=50, mu=12, n=10**309, customers=100, seed=0))
     # servers up to the bound run, with finite numbers
