@@ -27,8 +27,6 @@ def fmt(value) -> str:
     comma, quote or line break goes in double quotes, any quote doubled."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return f"{value:.12g}"
     text = str(_plain(value) if type(value) is Mode else value)

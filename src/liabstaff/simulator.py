@@ -91,7 +91,8 @@ def check_config(cfg: SimConfig) -> int:
 
 def simulate(cfg: SimConfig) -> SimResult:
     """Run one replication: FIFO single queue, n servers; a configuration
-    that check_config rejects raises its error before any draw."""
+    that check_config rejects raises its error before any draw, and one
+    whose customers do not fit in memory raises ParameterError."""
     from array import array
 
     import numpy as np
@@ -104,22 +105,25 @@ def simulate(cfg: SimConfig) -> SimResult:
     rng_services = np.random.Generator(np.random.PCG64(streams[1]))
     rng_errors = np.random.Generator(np.random.PCG64(streams[2]))
 
-    arrivals = np.cumsum(rng_arrivals.exponential(1.0 / cfg.lam, cfg.customers))
-    services = rng_services.exponential(1.0 / cfg.mu, cfg.customers)
-    errors = rng_errors.random(cfg.customers) < cfg.error_prob
+    try:
+        arrivals = np.cumsum(rng_arrivals.exponential(1.0 / cfg.lam, cfg.customers))
+        services = rng_services.exponential(1.0 / cfg.mu, cfg.customers)
+        errors = rng_errors.random(cfg.customers) < cfg.error_prob
 
-    # Multi-server FIFO recursion (Kiefer & Wolfowitz 1955): each customer
-    # takes the server that frees first. free_at is a min-heap of
-    # next-available times; all-zero, it is already a heap. While a zero is
-    # left every customer finds a free server, so more than one server per
-    # customer changes no wait.
-    wait_list = array("d")
-    free_at = [0.0] * min(cfg.n, cfg.customers)
-    for t, service in zip(memoryview(arrivals), memoryview(services)):
-        avail = free_at[0]
-        start = t if t > avail else avail
-        wait_list.append(start - t)
-        heapq.heapreplace(free_at, start + service)
+        # Multi-server FIFO recursion (Kiefer & Wolfowitz 1955): each customer
+        # takes the server that frees first. free_at is a min-heap of
+        # next-available times; all-zero, it is already a heap. While a zero is
+        # left every customer finds a free server, so more than one server per
+        # customer changes no wait.
+        wait_list = array("d")
+        free_at = [0.0] * min(cfg.n, cfg.customers)
+        for t, service in zip(memoryview(arrivals), memoryview(services)):
+            avail = free_at[0]
+            start = t if t > avail else avail
+            wait_list.append(start - t)
+            heapq.heapreplace(free_at, start + service)
+    except MemoryError:
+        raise ParameterError(f"customers must fit in memory, got {cfg.customers}") from None
     waits = np.frombuffer(wait_list)
 
     # Trim to an exact multiple of the batch count, dropping the tail.

@@ -9,8 +9,6 @@ they are expected to fail and are kept as stated rather than weakened.
 """
 
 import dataclasses
-import subprocess
-import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,6 +38,7 @@ from oracles import (
     random_valid_params,
     total_cost_direct,
 )
+from runners import run_fresh
 
 
 @contextmanager
@@ -50,12 +49,6 @@ def criterion(number: int, title: str):
         print(f"ACCEPTANCE {number:02d} FAIL — {title}")
         raise
     print(f"ACCEPTANCE {number:02d} PASS — {title}")
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "liabstaff", *args], capture_output=True, text=True
-    )
 
 
 def test_criterion_01_threshold_exact():
@@ -234,9 +227,9 @@ def test_criterion_12_determinism(tmp_path):
         for name, args in pairs:
             a = tmp_path / f"{name}_a.csv"
             b = tmp_path / f"{name}_b.csv"
-            assert run_cli(*args, "--out", str(a)).returncode == 0
-            assert run_cli(*args, "--out", str(b)).returncode == 0
+            assert run_fresh(*args, "--out", str(a)).returncode == 0
+            assert run_fresh(*args, "--out", str(b)).returncode == 0
             assert a.read_bytes() == b.read_bytes(), f"{name} output not byte-identical"
-        solve_a = run_cli("solve", "--json").stdout
-        solve_b = run_cli("solve", "--json").stdout
+        solve_a = run_fresh("solve", "--json").stdout
+        solve_b = run_fresh("solve", "--json").stdout
         assert solve_a == solve_b

@@ -1,11 +1,10 @@
-import contextlib
 import dataclasses
 import csv
+import heapq
 import io
 import json
 import math
 import re
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +19,13 @@ from liabstaff.analysis import SWEEPABLE, regime_map
 from liabstaff.output import fmt, render_csv
 
 from oracles import random_valid_params
+from runners import run_cli, run_fresh
 
 
-def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "liabstaff", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+@pytest.fixture(autouse=True)
+def _without_config_env_var(monkeypatch):
+    # a developer's $LIABSTAFF_CONFIG would change every run without --config
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
 
 
 def assert_usage_error(cp: subprocess.CompletedProcess) -> None:
@@ -56,6 +57,13 @@ def test_import_leaves_numpy_unloaded():
 def test_unknown_command_exits_2():
     cp = run_cli("frobnicate")
     assert cp.returncode == 2
+
+
+def test_entry_point_exits_with_main_code():
+    # the one check of __main__.py: python -m liabstaff exits with main's code
+    cp = run_fresh("--version")
+    assert (cp.returncode, cp.stdout) == (0, "liabstaff 0.1.0\n")
+    assert run_fresh("frobnicate").returncode == 2
 
 
 def test_solve_baseline():
@@ -241,11 +249,11 @@ def test_regime_map_and_boundary(tmp_path: Path):
     assert not Path(str(early) + ".manifest.json").exists()
 
 
-def test_regime_map_error_cell_is_quoted(capsys):
+def test_regime_map_error_cell_is_quoted():
     # the offered-load error holds a comma: quoted, the row keeps 7 fields
-    argv = ["regime-map", "--grid", "lambda=1e7:1e7:1", "--grid", "big_l=1000:1000:1"]
-    assert cli.main(argv) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    cp = run_cli("regime-map", "--grid", "lambda=1e7:1e7:1", "--grid", "big_l=1000:1000:1")
+    assert cp.returncode == 0
+    rows = list(csv.reader(io.StringIO(cp.stdout, newline="")))
     assert [len(row) for row in rows] == [7, 7]
     error = regime_map(BASELINE, [1e7], [1000.0])[0].error
     assert "," in error
@@ -283,13 +291,10 @@ SIMULATE_CSV_HEADER = (
 
 
 def test_simulate_csv_and_determinism(tmp_path: Path):
+    # criterion 12 checks that two runs in fresh interpreters write the same bytes
     a = tmp_path / "sim_a.csv"
-    b = tmp_path / "sim_b.csv"
-    args = ["simulate", "--lambda", "50", "--mu", "12", "--n", "5",
-            "--customers", "20000", "--seed", "9"]
-    assert run_cli(*args, "--out", str(a)).returncode == 0
-    assert run_cli(*args, "--out", str(b)).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert run_cli("simulate", "--lambda", "50", "--mu", "12", "--n", "5",
+                   "--customers", "20000", "--seed", "9", "--out", str(a)).returncode == 0
     header, row = a.read_text().splitlines()
     assert header == SIMULATE_CSV_HEADER
     # each column holds the value its name says
@@ -303,15 +308,16 @@ def test_simulate_csv_and_determinism(tmp_path: Path):
     assert manifest["params"] is None  # simulate uses no model parameters
 
 
-def test_simulate_checks_offered_load_before_simulating(monkeypatch, capsys):
+def test_simulate_checks_offered_load_before_simulating(monkeypatch):
     # above the analytic domain the run ends before any customer is drawn
     def no_simulation(cfg):
         pytest.fail("simulate ran before the offered-load check")
 
     monkeypatch.setattr(cli, "simulate", no_simulation)
-    argv = ["simulate", "--lambda", "1e29", "--mu", "1", "--n", "1" + "0" * 30]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: offered load 1e+29 exceeds the domain limit 1e+06\n"
+    cp = run_cli("simulate", "--lambda", "1e29", "--mu", "1", "--n", "1" + "0" * 30)
+    assert (cp.returncode, cp.stderr) == (
+        2, "error: offered load 1e+29 exceeds the domain limit 1e+06\n"
+    )
 
 
 def test_simulate_unstable_exits_1():
@@ -325,28 +331,39 @@ def test_simulate_unstable_exits_1():
         assert "got 1e-320" in cp.stderr
 
 
+# A 2 GiB address-space limit for the runs that must not allocate much.
+MEMORY_LIMIT = 2 * 2**30
+
+
 def test_simulate_more_servers_than_customers():
-    # the server list holds at most one server per customer; under a 2 GiB
-    # address-space limit a list of 10**9 servers would fail, not run
-    limit = 2 * 2**30
-
-    def simulate_cli(lam: str, n: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "liabstaff", "simulate", "--lambda", lam, "--mu", "1",
-             "--n", n, "--customers", "100"],
-            capture_output=True, text=True, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-
-    cp = simulate_cli("1e29", "1" + "0" * 30)
-    assert_usage_error(cp)
-    assert "exceeds the domain limit" in cp.stderr
-    cp = simulate_cli("1", "1000000000")
+    # the server list holds at most one server per customer; under the
+    # limit a list of 10**9 servers would fail, not run. A run with more
+    # servers than the domain allows is refused before any customer is
+    # drawn (test_simulate_checks_offered_load_before_simulating).
+    cp = run_fresh("simulate", "--lambda", "1", "--mu", "1", "--n", "1000000000",
+                   "--customers", "100", limit_as=MEMORY_LIMIT)
     assert (cp.returncode, cp.stderr) == (0, "")
     assert "(analytic 0 h)" in cp.stdout
 
 
-def test_simulate_seed_and_server_bounds_exit_2(capsys):
+def test_simulate_refuses_customers_beyond_memory(monkeypatch):
+    # 10**9 customers need 7.45 GiB for each drawn array: under the limit
+    # the run is refused, not ended by numpy's MemoryError traceback
+    cp = run_fresh("simulate", "--lambda", "50", "--mu", "12", "--n", "5",
+                   "--customers", "1000000000", limit_as=MEMORY_LIMIT)
+    assert (cp.returncode, cp.stderr) == (2, "error: customers must fit in memory, got 1000000000\n")
+
+    # validate's replications too, here with memory running out while the
+    # waits are filled in
+    def out_of_memory(heap, item):
+        raise MemoryError
+
+    monkeypatch.setattr(heapq, "heapreplace", out_of_memory)
+    cp = run_cli("validate", "--customers", "2000")
+    assert (cp.returncode, cp.stderr) == (2, "error: customers must fit in memory, got 2000\n")
+
+
+def test_simulate_seed_and_server_bounds_exit_2():
     # numpy rejects a negative seed, float(n) overflows past 1e308, and numpy
     # indexes at most sys.maxsize customers
     huge = "1" + "0" * 20
@@ -362,16 +379,15 @@ def test_simulate_seed_and_server_bounds_exit_2(capsys):
          f"customers must not exceed {sys.maxsize}, got {huge}"),
         (["validate", "--customers", huge], f"customers must not exceed {sys.maxsize}, got {huge}"),
     ):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        cp = run_cli(*argv)
+        assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
 
 
 def test_rerun_parses_its_config_once(tmp_path: Path, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     cfg, out = tmp_path / "run.cfg", tmp_path / "welfare.csv"
     cfg.write_text("big_l = 3000\n")
     argv = ["welfare", "--grid", "big_l=1000:3000:2", "--config", str(cfg), "--out", str(out)]
-    assert cli.main(argv) == 0
+    assert run_cli(*argv).returncode == 0
     parsed = []
     parse_config = params.parse_config
 
@@ -382,22 +398,8 @@ def test_rerun_parses_its_config_once(tmp_path: Path, monkeypatch):
     # count a parse wherever the CLI looks the parser up
     monkeypatch.setattr(params, "parse_config", counting)
     monkeypatch.setattr(cli, "parse_config", counting, raising=False)
-    assert cli.main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
+    assert run_cli("rerun", "--manifest", str(out) + ".manifest.json").returncode == 0
     assert parsed == ["big_l = 3000\n"]
-
-
-def test_solve_repeated_runs_identical():
-    a = run_cli("solve", "--json")
-    b = run_cli("solve", "--json")
-    assert a.stdout == b.stdout
-
-
-def test_scenario_repeated_runs_byte_identical(tmp_path: Path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_cli("scenario", "--out", str(a))
-    run_cli("scenario", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
 
 
 SCENARIO_CSV_DEFAULT = (
@@ -418,11 +420,11 @@ SCENARIO_CSV_ALPHA_FLOOR = SCENARIO_CSV_DEFAULT.replace(
     "flags, expected",
     [([], SCENARIO_CSV_DEFAULT), (["--alpha", "0.2", "--theta-floor", "0.7"], SCENARIO_CSV_ALPHA_FLOOR)],
 )
-def test_scenario_csv_golden_bytes(tmp_path: Path, capsys, flags, expected):
+def test_scenario_csv_golden_bytes(tmp_path: Path, flags, expected):
     # pinned bytes: a change to the staffing search or the cost arithmetic
     # that moves any printed digit fails here
     out = tmp_path / "scenarios.csv"
-    assert cli.main(["scenario", *flags, "--out", str(out)]) == 0
+    assert run_cli("scenario", *flags, "--out", str(out)).returncode == 0
     assert out.read_bytes() == expected.encode()
 
 
@@ -666,14 +668,15 @@ SCENARIO_JSON_DEFAULT = """\
     "flags, expected",
     [([], SOLVE_JSON_DEFAULT), (["--theta-lo", "0.7"], SOLVE_JSON_THETA_LO_0_7)],
 )
-def test_solve_json_golden_bytes(capsys, flags, expected):
-    assert cli.main(["solve", "--json", *flags]) == 0
-    assert capsys.readouterr().out == expected
+def test_solve_json_golden_bytes(flags, expected):
+    cp = run_cli("solve", "--json", *flags)
+    assert cp.returncode == 0
+    assert cp.stdout == expected
 
 
-def test_welfare_csv_golden_bytes(tmp_path: Path, capsys):
+def test_welfare_csv_golden_bytes(tmp_path: Path):
     out = tmp_path / "welfare.csv"
-    assert cli.main(["welfare", "--grid", "big_l=800:5000:3", "--out", str(out)]) == 0
+    assert run_cli("welfare", "--grid", "big_l=800:5000:3", "--out", str(out)).returncode == 0
     assert out.read_bytes() == WELFARE_CSV_BIG_L_3.encode()
     manifest = Path(str(out) + ".manifest.json").read_text()
     manifest = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "T"', manifest)
@@ -689,68 +692,58 @@ def test_welfare_csv_golden_bytes(tmp_path: Path, capsys):
         (["scenario", "--json"], SCENARIO_JSON_DEFAULT),
     ],
 )
-def test_stdout_golden_bytes(capsys, argv, expected):
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == expected
+def test_stdout_golden_bytes(argv, expected):
+    cp = run_cli(*argv)
+    assert cp.returncode == 0
+    assert cp.stdout == expected
 
 
-def test_regime_map_repeated_runs_byte_identical(tmp_path: Path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["regime-map", "--grid", "lambda=40:60:3", "--grid", "big_l=1000:3000:3"]
-    run_cli(*args, "--out", str(a))
-    run_cli(*args, "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_manifest_rerun_reproduces_csv(tmp_path: Path):
-    out = tmp_path / "sweep.csv"
-    run_cli("sweep", "--grid", "kappa=1000:5000:5", "--out", str(out))
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "kappa=1000:5000:5"],
+    ["regime-map", "--grid", "lambda=40:60:3", "--grid", "big_l=1000:3000:3"],
+], ids=lambda argv: argv[0])
+def test_rerun_reproduces_csv(tmp_path: Path, argv):
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)).returncode == 0
     original = out.read_bytes()
     out.unlink()
-    cp = run_cli("rerun", "--manifest", str(out) + ".manifest.json")
-    assert cp.returncode == 0
+    assert run_cli("rerun", "--manifest", str(out) + ".manifest.json").returncode == 0
     assert out.read_bytes() == original
 
 
-def test_rerun_bad_manifest_exits_2(tmp_path: Path, capsys):
+def test_rerun_bad_manifest_exits_2(tmp_path: Path):
     bad = tmp_path / "bad.json"
     texts = ['{"argv": 5}', '{"argv": ["solve", 5]}', "[1]", "{}", "not json",
              json.dumps({"argv": ["rerun", "--manifest", str(bad)]}),
              json.dumps({"argv": ["solve"], "params": 5})]
-    assert cli.main(["rerun", "--manifest", str(tmp_path / "missing.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert_usage_error(run_cli("rerun", "--manifest", str(tmp_path / "missing.json")))
     for text in texts:
         bad.write_text(text)
-        assert cli.main(["rerun", "--manifest", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert_usage_error(run_cli("rerun", "--manifest", str(bad)))
 
 
-def test_rerun_refuses_parameters_other_than_recorded(tmp_path: Path, capsys, monkeypatch):
+def test_rerun_refuses_parameters_other_than_recorded(tmp_path: Path, monkeypatch):
     # a manifest written under $LIABSTAFF_CONFIG, rerun without it, and one
     # written with --config, rerun after that file changed: both exit 2 and
     # leave the CSV as it was
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("big_l = 4000\n")
     env_out, flag_out = tmp_path / "env.csv", tmp_path / "flag.csv"
     monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
-    assert cli.main(["scenario", "--out", str(env_out)]) == 0
+    assert run_cli("scenario", "--out", str(env_out)).returncode == 0
     monkeypatch.delenv(cli.CONFIG_ENV_VAR)
-    assert cli.main(["scenario", "--config", str(cfg), "--out", str(flag_out)]) == 0
+    assert run_cli("scenario", "--config", str(cfg), "--out", str(flag_out)).returncode == 0
     cfg.write_text("big_l = 3000\n")
-    capsys.readouterr()
     for out in (env_out, flag_out):
         original = out.read_bytes()
-        assert cli.main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "other values of big_l than" in err
+        cp = run_cli("rerun", "--manifest", str(out) + ".manifest.json")
+        assert_usage_error(cp)
+        assert "other values of big_l than" in cp.stderr
         assert out.read_bytes() == original
     cfg.write_text("big_l = 4000\n")
     monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
     original = env_out.read_bytes()
-    assert cli.main(["rerun", "--manifest", str(env_out) + ".manifest.json"]) == 0
+    assert run_cli("rerun", "--manifest", str(env_out) + ".manifest.json").returncode == 0
     assert env_out.read_bytes() == original
 
 
@@ -766,13 +759,11 @@ def test_large_offered_load_solves_and_over_limit_exits_2(tmp_path: Path):
     assert "offered-load limit" in cp.stderr
 
 
-def test_config_env_var(tmp_path: Path):
-    import os
-
+def test_config_env_var(tmp_path: Path, monkeypatch):
     cfg = tmp_path / "env.cfg"
     cfg.write_text("big_l = 5000\n")
-    env = dict(os.environ, LIABSTAFF_CONFIG=str(cfg))
-    cp = run_cli("solve", env=env)
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
+    cp = run_cli("solve")
     assert cp.returncode == 0
     assert "winner: Regime I" in cp.stdout
 
@@ -790,39 +781,24 @@ def test_thousands_flag():
     assert "10.0901k" in cp.stdout
 
 
-# The parser is built once per process; these calls run main() in process
-# to check that nothing of one call leaks into the next.
+# The parser is built once per process and reused by every later main()
+# call, as in the benchmark's runs; these check that nothing of one call
+# leaks into the next.
 
 
-def test_in_process_regime_map_calls_identical(capsys):
+def test_in_process_regime_map_calls_identical():
     args = ["regime-map", "--grid", "lambda=40:60:3", "--grid", "big_l=1000:3000:3"]
-    assert cli.main(args) == 0
-    first = capsys.readouterr().out
-    assert cli.main(args) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert len(first.splitlines()) == 10  # header + 3*3 cells: grids did not accumulate
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    assert len(first.stdout.splitlines()) == 10  # header + 3*3 cells: grids did not accumulate
 
 
-def test_in_process_rerun_reproduces_csv(tmp_path: Path, capsys):
-    out = tmp_path / "map.csv"
-    args = ["regime-map", "--grid", "lambda=40:60:3", "--grid", "big_l=1000:3000:3",
-            "--out", str(out)]
-    assert cli.main(args) == 0
-    original = out.read_bytes()
-    out.unlink()
-    assert cli.main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 0
-    assert out.read_bytes() == original
-
-
-def test_in_process_usage_error_after_success(capsys):
-    assert cli.main(["solve"]) == 0
-    assert cli.main(["scenario", "--scenarios", "S9"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+def test_in_process_usage_error_after_success():
+    assert run_cli("solve").returncode == 0
+    assert_usage_error(run_cli("scenario", "--scenarios", "S9"))
     for argv in (["solve", "--no-such-flag"], ["regime-map", "--jobs", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        assert run_cli(*argv).returncode == 2
 
 
 # The exit-code contract under fuzzing: configs with calibrated, extreme and
@@ -932,20 +908,14 @@ def _assert_exit_code_contract(argv: list[str]) -> None:
     """Run argv in process: exit 0, 1 or 2, an error or usage line on a
     nonzero exit but for validate's failed comparison, and finite numbers on
     success."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code:
-        assert (err.getvalue().startswith(("error: ", "usage: "))
-                or ((argv[0], code, err.getvalue()) == ("validate", 1, "")
-                    and "FAIL" in out.getvalue()))
+    cp = run_cli(*argv)
+    assert cp.returncode in (0, 1, 2)
+    if cp.returncode:
+        assert (cp.stderr.startswith(("error: ", "usage: "))
+                or ((argv[0], cp.returncode, cp.stderr) == ("validate", 1, "")
+                    and "FAIL" in cp.stdout))
     else:
-        assert _non_finite_numbers(argv[0], out.getvalue() + err.getvalue()) == []
+        assert _non_finite_numbers(argv[0], cp.stdout + cp.stderr) == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

@@ -13,7 +13,6 @@ from liabstaff import (
     Mode,
     ModelParams,
     ParameterError,
-    cli,
     compare_scenarios,
     load_params,
     make_scenario,
@@ -28,6 +27,8 @@ from liabstaff import (
 from liabstaff.params import BOX_HI, BOX_LO, MIN_ACCURACY_GAP
 from liabstaff.queueing import MAX_OFFERED_LOAD
 from liabstaff.scenario import SCENARIO_IDS
+
+from runners import run_cli
 
 
 def test_baseline_values_accepted():
@@ -162,7 +163,7 @@ def test_config_round_trip_and_defaults():
     assert p.w == DEFAULT_WAGE
 
 
-def test_load_params_reads_utf8_and_names_a_bad_path(tmp_path, capsys):
+def test_load_params_reads_utf8_and_names_a_bad_path(tmp_path):
     good = tmp_path / "good.cfg"
     text = "lambda = 60  # \u03bb, patients per hour\nbig_l = 2500\n"
     good.write_bytes(text.encode("utf-8"))
@@ -174,8 +175,8 @@ def test_load_params_reads_utf8_and_names_a_bad_path(tmp_path, capsys):
     for path in (tmp_path / "missing.cfg", tmp_path, binary):
         with pytest.raises(ParameterError, match=re.escape(str(path))) as exc:
             load_params(path)
-        assert cli.main(["solve", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        cp = run_cli("solve", "--config", str(path))
+        assert (cp.returncode, cp.stderr) == (2, f"error: {exc.value}\n")
 
 
 def test_config_unknown_key_is_error():
