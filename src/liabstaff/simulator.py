@@ -3,13 +3,15 @@
 RNG: numpy PCG64 seeded through SeedSequence; arrivals, services, and error
 draws use independent spawned streams, so a (config, seed) pair is
 bit-reproducible and streams stay decoupled under any parameter change.
-numpy (and array) are imported inside the functions that simulate, so that
-importing the package does not load them.
+numpy is imported inside the functions that simulate, so that importing the
+package does not load it.
 
-The FIFO loop reads arrivals and services as Python floats through
-memoryviews of the numpy arrays and collects waits in an array("d"): the
-same heap minima and the same float operations as a loop that indexes the
-numpy arrays one element at a time, so the waits are bit-identical to it.
+The FIFO pass is one numpy.fromiter over _earliest_free, which yields the
+minimum that heapq.heapreplace pops for each customer: the time the server
+that frees first becomes free. The waits are then formed in place as
+max(t, avail) - t, the same IEEE max and subtraction as a loop that indexes
+the numpy arrays one element at a time and computes start - t, and the heap
+receives the same pushed times, so the waits are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .queueing import min_staffing
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 N_BATCHES = 20
+# The most customers numpy can size a float64 array for: its byte count,
+# 8 per element, must not exceed sys.maxsize.
+MAX_CUSTOMERS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,15 @@ class SimResult:
 def check_config(cfg: SimConfig) -> int:
     """The warmup of a replication with n servers, min_staffing(lam, mu) <= n
     <= BOX_HI, lam and mu in validate's box [BOX_LO, BOX_HI], customers >
-    warmup >= 0 with customers at most sys.maxsize (the longest array numpy
-    can index), at least N_BATCHES counted customers, error_prob in [0, 1]
-    and a nonnegative seed; else raise ParameterError, or UnstableError for
-    too few servers."""
+    warmup >= 0 with customers at most MAX_CUSTOMERS (the longest float64
+    array numpy can size), at least N_BATCHES counted customers, error_prob
+    in [0, 1] and a nonnegative seed; else raise ParameterError, or
+    UnstableError for too few servers."""
     for name, rate in (("lambda", cfg.lam), ("mu", cfg.mu)):
         if not BOX_LO <= rate <= BOX_HI:
             raise ParameterError(f"{name} must lie in [{BOX_LO:g}, {BOX_HI:g}], got {rate!r}")
-    if cfg.customers > sys.maxsize:
-        raise ParameterError(f"customers must not exceed {sys.maxsize}, got {cfg.customers}")
+    if cfg.customers > MAX_CUSTOMERS:
+        raise ParameterError(f"customers must not exceed {MAX_CUSTOMERS}, got {cfg.customers}")
     warmup = cfg.customers // 10 if cfg.warmup is None else cfg.warmup
     if not 0 <= warmup < cfg.customers:
         raise ParameterError("need customers > warmup >= 0")
@@ -89,12 +94,25 @@ def check_config(cfg: SimConfig) -> int:
     return warmup
 
 
+def _earliest_free(arrivals, services, n: int):
+    """Yield, for each customer in arrival order, the time the server that
+    frees first becomes free: the minimum heapq.heapreplace pops."""
+    # Multi-server FIFO recursion (Kiefer & Wolfowitz 1955): each customer
+    # takes the server that frees first. free_at is a min-heap of
+    # next-available times; all-zero, it is already a heap. While a zero is
+    # left every customer finds a free server, so more than one server per
+    # customer changes no wait.
+    free_at = [0.0] * min(n, len(arrivals))
+    replace = heapq.heapreplace  # looked up per run, so a patched heapreplace applies
+    for t, service in zip(memoryview(arrivals), memoryview(services)):
+        avail = free_at[0]
+        yield replace(free_at, (t if t > avail else avail) + service)
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Run one replication: FIFO single queue, n servers; a configuration
     that check_config rejects raises its error before any draw, and one
     whose customers do not fit in memory raises ParameterError."""
-    from array import array
-
     import numpy as np
 
     warmup = check_config(cfg)
@@ -110,21 +128,12 @@ def simulate(cfg: SimConfig) -> SimResult:
         services = rng_services.exponential(1.0 / cfg.mu, cfg.customers)
         errors = rng_errors.random(cfg.customers) < cfg.error_prob
 
-        # Multi-server FIFO recursion (Kiefer & Wolfowitz 1955): each customer
-        # takes the server that frees first. free_at is a min-heap of
-        # next-available times; all-zero, it is already a heap. While a zero is
-        # left every customer finds a free server, so more than one server per
-        # customer changes no wait.
-        wait_list = array("d")
-        free_at = [0.0] * min(cfg.n, cfg.customers)
-        for t, service in zip(memoryview(arrivals), memoryview(services)):
-            avail = free_at[0]
-            start = t if t > avail else avail
-            wait_list.append(start - t)
-            heapq.heapreplace(free_at, start + service)
+        # each customer's earliest free server time, made its wait in place
+        waits = np.fromiter(_earliest_free(arrivals, services, cfg.n), float, cfg.customers)
     except MemoryError:
         raise ParameterError(f"customers must fit in memory, got {cfg.customers}") from None
-    waits = np.frombuffer(wait_list)
+    np.maximum(arrivals, waits, out=waits)
+    waits -= arrivals
 
     # Trim to an exact multiple of the batch count, dropping the tail.
     per_batch = counted // N_BATCHES

@@ -365,8 +365,9 @@ def test_simulate_refuses_customers_beyond_memory(monkeypatch):
 
 def test_simulate_seed_and_server_bounds_exit_2():
     # numpy rejects a negative seed, float(n) overflows past 1e308, and numpy
-    # indexes at most sys.maxsize customers
-    huge = "1" + "0" * 20
+    # sizes a float64 array of at most sys.maxsize // 8 customers
+    huge, too_big = "1" + "0" * 20, str(2**60)
+    limit = sys.maxsize // 8
     for argv, message in (
         (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", "200",
           "--seed", "-1"], "seed must be nonnegative, got -1"),
@@ -376,8 +377,11 @@ def test_simulate_seed_and_server_bounds_exit_2():
         (["simulate", "--lambda", "1e30", "--mu", "1", "--n", "2" + "0" * 30,
           "--customers", "100"], "n must not exceed 1e+30"),
         (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", huge],
-         f"customers must not exceed {sys.maxsize}, got {huge}"),
-        (["validate", "--customers", huge], f"customers must not exceed {sys.maxsize}, got {huge}"),
+         f"customers must not exceed {limit}, got {huge}"),
+        (["validate", "--customers", huge], f"customers must not exceed {limit}, got {huge}"),
+        (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", too_big],
+         f"customers must not exceed {limit}, got {too_big}"),
+        (["validate", "--customers", too_big], f"customers must not exceed {limit}, got {too_big}"),
     ):
         cp = run_cli(*argv)
         assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")

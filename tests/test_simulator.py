@@ -86,8 +86,8 @@ def test_bad_warmup_rejected():
 def test_negative_seed_and_too_many_servers_rejected():
     with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
         simulate(SimConfig(lam=50, mu=12, n=5, customers=100, seed=-1))
-    # sys.maxsize is the longest array numpy can index
-    with pytest.raises(ParameterError, match=f"customers must not exceed {sys.maxsize}, got {10**20}"):
+    # numpy sizes a float64 array of at most sys.maxsize // 8 elements
+    with pytest.raises(ParameterError, match=f"customers must not exceed {sys.maxsize // 8}, got {10**20}"):
         simulate(SimConfig(lam=50, mu=12, n=5, customers=10**20, seed=0))
     with pytest.raises(ParameterError, match=r"n must not exceed 1e\+30"):
         simulate(SimConfig(lam=50, mu=12, n=10**309, customers=100, seed=0))
@@ -132,8 +132,9 @@ def test_coverage_across_seeds():
     assert hits >= n_seeds - 2
 
 
-# the last config staffs more servers than any run has customers
-@pytest.mark.parametrize("lam, mu, n", [*_VALIDATE_CONFIGS, (50.0, 12.0, 30_000)])
+# the last two configs run a one-server heap and staff more servers than
+# any run has customers
+@pytest.mark.parametrize("lam, mu, n", [*_VALIDATE_CONFIGS, (5.0, 6.0, 1), (50.0, 12.0, 30_000)])
 @pytest.mark.parametrize(
     "customers, warmup, error_prob, seed",
     [
