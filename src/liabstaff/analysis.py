@@ -207,9 +207,19 @@ def figure_data(
     fig3b threshold vs disutility gap k_i - k_a in [20, 150]
     fig4  staffing by mode vs arrival rate in [25, 90]; ``criterion`` selects
           "cost-optimal" (the default) or "min-stable"
+
+    An npoints below 1, or one whose table does not fit in memory, raises
+    ParameterError.
     """
     if npoints < 1:
         raise ParameterError(f"npoints must be at least 1, got {npoints}")
+    try:
+        return _figure_table(which, p, npoints, criterion)
+    except MemoryError:
+        raise ParameterError(f"npoints must fit in memory, got {npoints}") from None
+
+
+def _figure_table(which: str, p: ModelParams, npoints: int, criterion: str) -> tuple[list[str], list[tuple]]:
     if which == "fig1":
         rows = []
         utils = linspace(0.05, 0.99, npoints)

@@ -64,7 +64,8 @@ def _parse(argv: list[str]) -> tuple[argparse.Namespace, ModelParams | None]:
 
 
 def _parse_grid(spec: str) -> tuple[str, list[float]]:
-    """Parse ``name=lo:hi:npoints`` into (name, linspace)."""
+    """Parse ``name=lo:hi:npoints`` into (name, linspace); a point count
+    whose list does not fit in memory raises ParameterError."""
     try:
         name, _, rng = spec.partition("=")
         lo_s, hi_s, n_s = rng.split(":")
@@ -75,7 +76,10 @@ def _parse_grid(spec: str) -> tuple[str, list[float]]:
         ) from None
     if n < 1:
         raise ParameterError(f"grid {spec!r} needs at least one point")
-    return name.strip(), linspace(lo, hi, n)
+    try:
+        return name.strip(), linspace(lo, hi, n)
+    except MemoryError:
+        raise ParameterError(f"grid {spec!r} must fit in memory") from None
 
 
 def _money(value: float, thousands: bool) -> str:

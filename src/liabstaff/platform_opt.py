@@ -185,8 +185,7 @@ def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult
     if found is None:
         return RegimeResult(m, False, None, None, None, None)
     n_lo, n_hi, n = found[:3]
-    unconstrained = p.lam * p.big_l * mode_attrs(m, p)[1] / (2.0 * p.kappa * n)  # theta_unconstrained
-    return RegimeResult(m, True, *_found_cost(m, found, p), unconstrained, (n_lo, n_hi))
+    return RegimeResult(m, True, *_found_cost(m, found, p), theta_unconstrained(m, n, p), (n_lo, n_hi))
 
 
 def optimize_regime(

@@ -1,16 +1,22 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Oracles the tests pin expected values against.
 
-These deliberately avoid the library's solution paths: the delay probability
-is summed term by term from the factorial form, the optimizers are
-replaced by exhaustive grids, the per-regime staffing search is replayed with
-a QueueMetrics and a CostBreakdown built at every level, and the simulator's
-FIFO loop is replayed with numpy indexing and a heap pop and push per
-customer.
+The brute force lives in the benchmark's ``bench/oracle.py``, which imports
+nothing but math and numpy: it sums the factorial form of Erlang C, takes
+theta_d in closed form and searches a theta grid and every staffing level up
+to a proven bound. The adapters below call it with a ModelParams and return
+Modes.
+
+This module still owns the seeded draws of valid parameter sets and two
+references whose answers must equal the library's float for float: the
+per-regime staffing search replayed with a QueueMetrics and a CostBreakdown
+built at every level, and the simulator's FIFO loop replayed with numpy
+indexing and a heap pop and push per customer.
 """
 
 import dataclasses
 import heapq
-import math
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -28,110 +34,46 @@ from liabstaff import (
     mode_attrs,
     validate,
 )
-from liabstaff.physician import threshold
-from liabstaff.queueing import _RHO_CEILING, min_staffing
+from liabstaff.queueing import _RHO_CEILING
 from liabstaff.simulator import N_BATCHES
 
-
-def erlang_c_direct(n: int, a: float) -> float:
-    """Delay probability by direct summation of the factorial-form terms.
-
-    Terms a^k/k! are accumulated iteratively so large n neither overflows
-    nor loses the small-term contributions.
-    """
-    rho = a / n
-    term = 1.0  # a^k / k! at k = 0
-    head = term
-    for k in range(1, n):
-        term *= a / k
-        head += term
-    tail = term * (a / n) / (1.0 - rho)
-    return tail / (head + tail)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def wq_direct(lam: float, mu: float, n: int) -> float:
-    return erlang_c_direct(n, lam / mu) / (n * mu - lam)
+def load_bench(name: str):
+    """The module bench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_oracle = load_bench("oracle")
+erlang_c_direct = bench_oracle.erlang_c_direct
 
 
 def total_cost_direct(theta: float, n: int, m: Mode, p: ModelParams) -> float:
-    """Component-sum cost using the direct-summation delay probability."""
-    mu, err_prob, _ = mode_attrs(m, p)
-    t = wq_direct(p.lam, mu, n) + 1.0 / mu
-    return (
-        p.lam * (1.0 - theta) * p.big_l * err_prob
-        + p.lam * p.c_w * t
-        + p.c_n * n
-        + p.kappa * theta * theta * n
-    )
+    return bench_oracle.platform_cost(dataclasses.asdict(p), theta, n, m.value)
 
 
-def social_cost_direct(n: int, m: Mode, p: ModelParams) -> float:
-    mu, err_prob, _ = mode_attrs(m, p)
-    t = wq_direct(p.lam, mu, n) + 1.0 / mu
-    return p.lam * p.big_l * err_prob + p.lam * p.c_w * t + p.c_n * n
-
-
-def staffing_bound(m: Mode, p: ModelParams) -> int:
-    """Upper staffing bound: past this, staffing cost alone exceeds the
-    minimum-staffing total, so no optimum can lie beyond."""
-    mu, _, _ = mode_attrs(m, p)
-    n0 = min_staffing(p.lam, mu)
-    ceiling = total_cost_direct(0.0, n0, m, p)
-    return max(n0, math.ceil(ceiling / p.c_n)) + 1
-
-
-def brute_force_regime(
-    m: Mode, lo: float, hi: float, p: ModelParams, theta_points: int = 2001
-) -> tuple[float, int, float]:
-    """Exhaustive (theta grid x stable n) argmin of the platform cost within
-    one regime. Returns (theta, n, total)."""
-    mu, err_prob, _ = mode_attrs(m, p)
-    thetas = np.linspace(lo, hi, theta_points)
-    best = None
-    for n in range(min_staffing(p.lam, mu), staffing_bound(m, p) + 1):
-        t = wq_direct(p.lam, mu, n) + 1.0 / mu
-        fixed = p.lam * p.c_w * t + p.c_n * n
-        totals = (
-            p.lam * (1.0 - thetas) * p.big_l * err_prob
-            + fixed
-            + p.kappa * thetas**2 * n
-        )
-        i = int(np.argmin(totals))
-        if best is None or totals[i] < best[2]:
-            best = (float(thetas[i]), n, float(totals[i]))
-    return best
+def brute_force_regime(m: Mode, lo: float, hi: float, p: ModelParams) -> tuple[float, int, float]:
+    """Exhaustive argmin (theta, n, total) of the platform cost in one regime."""
+    reg = bench_oracle.Regime(dataclasses.asdict(p), m.value, lo, hi)
+    return reg.theta_star, reg.n_star, reg.total
 
 
 def brute_force_platform(
-    p: ModelParams,
-    theta_lo: float = 0.0,
-    theta_hi: float = 1.0,
-    theta_points: int = 2001,
-    eps: float = 1e-6,
+    p: ModelParams, theta_lo: float = 0.0, theta_hi: float = 1.0
 ) -> tuple[Mode, float, int, float]:
-    """Global argmin over both regimes with mode consistency enforced.
-    Returns (mode, theta, n, total)."""
-    theta_d = threshold(p).theta_d
-    candidates = []
-    a_hi = min(theta_hi, theta_d)
-    if theta_lo <= a_hi:
-        candidates.append((Mode.A, brute_force_regime(Mode.A, theta_lo, a_hi, p, theta_points)))
-    i_lo = max(theta_lo, theta_d + eps)
-    if i_lo <= theta_hi:
-        candidates.append((Mode.I, brute_force_regime(Mode.I, i_lo, theta_hi, p, theta_points)))
-    mode, (theta, n, total) = min(candidates, key=lambda c: c[1][2])
-    return mode, theta, n, total
+    """Global argmin (mode, theta, n, total) over both regimes."""
+    regimes = bench_oracle.platform(dataclasses.asdict(p), theta_lo, theta_hi)
+    reg = regimes[bench_oracle.winner(regimes)]
+    return Mode(reg.mode), reg.theta_star, reg.n_star, reg.total
 
 
 def brute_force_social(p: ModelParams) -> tuple[Mode, int, float]:
-    best = None
-    for m in (Mode.A, Mode.I):
-        mu, _, _ = mode_attrs(m, p)
-        for n in range(min_staffing(p.lam, mu), staffing_bound(m, p) + 1):
-            total = social_cost_direct(n, m, p)
-            if best is None or total < best[2]:
-                best = (m, n, total)
-    return best
+    mode, n, total = bench_oracle.social(dataclasses.asdict(p))
+    return Mode(mode), n, total
 
 
 def _level_metrics(lam: float, mu: float, n_max: int):

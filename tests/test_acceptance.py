@@ -98,7 +98,7 @@ def test_criterion_05_brute_force_equivalence():
         rng = np.random.default_rng(50)
         for p in [BASELINE] + [random_valid_params(rng) for _ in range(20)]:
             sol = optimize_platform(p).winner
-            bf_mode, bf_theta, bf_n, bf_total = brute_force_platform(p, theta_points=2001)
+            bf_mode, bf_theta, bf_n, bf_total = brute_force_platform(p)
             assert sol.regime is bf_mode
             assert sol.best.n == bf_n
             assert abs(sol.best.theta - bf_theta) <= 1.0 / 2000

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liabstaff import BASELINE, SimConfig, cli, min_staffing, params, queue_metrics, simulate
+from liabstaff import BASELINE, SimConfig, analysis, cli, min_staffing, params, queue_metrics, simulate
 from liabstaff.analysis import SWEEPABLE, regime_map
 from liabstaff.output import fmt, render_csv
 
@@ -43,8 +43,8 @@ def test_help():
 
 
 def test_import_leaves_numpy_unloaded():
-    # only the simulator needs numpy and array, and it imports them when it
-    # runs; the parser is built by the first main() call, not at import
+    # only the simulator needs numpy, and it imports it when it runs; nothing
+    # loads array. The parser is built by the first main() call, not at import
     code = (
         "import liabstaff.cli, sys; "
         "assert 'numpy' not in sys.modules; "
@@ -361,6 +361,20 @@ def test_simulate_refuses_customers_beyond_memory(monkeypatch):
     monkeypatch.setattr(heapq, "heapreplace", out_of_memory)
     cp = run_cli("validate", "--customers", "2000")
     assert (cp.returncode, cp.stderr) == (2, "error: customers must fit in memory, got 2000\n")
+
+
+def test_grid_counts_beyond_memory_exit_2(monkeypatch):
+    # 10**9 points need 7.45 GiB for the list's pointers alone; the
+    # allocation fails here as it does under a memory limit
+    def out_of_memory(lo, hi, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "linspace", out_of_memory)
+    monkeypatch.setattr(analysis, "linspace", out_of_memory)
+    cp = run_cli("sweep", "--grid", "q=0.8:0.9:1000000000")
+    assert (cp.returncode, cp.stderr) == (2, "error: grid 'q=0.8:0.9:1000000000' must fit in memory\n")
+    cp = run_cli("figure", "--which", "fig2", "--npoints", "1000000000")
+    assert (cp.returncode, cp.stderr) == (2, "error: npoints must fit in memory, got 1000000000\n")
 
 
 def test_simulate_seed_and_server_bounds_exit_2():

@@ -14,16 +14,18 @@ from liabstaff import (
     cost_breakdown,
     make_scenario,
     min_staffing,
+    mode_attrs,
     optimize_platform,
     optimize_regime,
     optimize_social,
+    queue_metrics,
     run_scenario,
     social_cost,
     theta_optimal,
     theta_unconstrained,
     threshold,
 )
-from liabstaff.platform_opt import REGIME_I_EPS, _regime_result, _search
+from liabstaff.platform_opt import REGIME_I_EPS, _cost, _regime_result, _search
 from liabstaff.queueing import MAX_OFFERED_LOAD
 
 from oracles import (
@@ -102,12 +104,15 @@ def test_theta_optimal_matches_grid_argmin():
     for _ in range(50):
         p = random_valid_params(rng)
         m = Mode.A if rng.random() < 0.5 else Mode.I
-        mu = p.mu_a if m is Mode.A else p.mu_i
+        mu, err_prob, _ = mode_attrs(m, p)
         n = int(np.ceil(p.lam / mu)) + int(rng.integers(1, 8))
         lo = float(rng.uniform(0, 0.5))
         hi = float(rng.uniform(lo, 1.0))
         grid = np.linspace(lo, hi, 10_001)
-        totals = [cost_breakdown(float(t), n, m, p).total for t in grid]
+        # cost_breakdown's totals, with the queue's system time taken once
+        t_total = queue_metrics(p.lam, mu, n).t_total
+        totals = [_cost(float(t), n, err_prob, t_total, p).total for t in grid]
+        assert [totals[0], totals[-1]] == [cost_breakdown(float(t), n, m, p).total for t in grid[[0, -1]]]
         best_grid = float(grid[int(np.argmin(totals))])
         step = (hi - lo) / 10_000 if hi > lo else 0.0
         assert abs(theta_optimal(m, n, lo, hi, p) - best_grid) <= step + 1e-12
