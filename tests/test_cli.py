@@ -206,16 +206,54 @@ def test_scenario_stdout_default():
     assert_usage_error(run_cli("scenario", "--scenarios", ","))
 
 
-def test_sweep_row_count(tmp_path: Path):
+SWEEP_CSV_Q_15 = (
+    "param_name,param_value,theta_star,n_star,total,winner\n"
+    "q,0.8,0.200001,10,8615.71295603,I\n"
+    "q,0.81,0.214286714286,10,8692.24428256,I\n"
+    "q,0.82,0.230770230769,10,8793.22928739,I\n"
+    "q,0.83,0.250001,10,8928.21545603,I\n"
+    "q,0.84,0.272728272727,10,9111.58436099,I\n"
+    "q,0.85,0.300001,10,9365.71795603,I\n"
+    "q,0.86,0.333334333333,10,9726.83073381,I\n"
+    "q,0.87,0.375001,10,10256.346706,I\n"
+    "q,0.88,0.428572428571,10,11064.7039764,I\n"
+    "q,0.89,0.44,5,10670.110381,A\n"
+    "q,0.9,0.4,5,10090.110381,A\n"
+    "q,0.91,0.36,5,9470.11038104,A\n"
+    "q,0.92,0.32,5,8810.11038104,A\n"
+    "q,0.93,0.28,5,8110.11038104,A\n"
+    "q,0.94,0.2,6,7336.51556133,A\n"
+)
+
+
+def test_sweep_csv_golden_bytes(tmp_path: Path):
     out = tmp_path / "sweep.csv"
     cp = run_cli("sweep", "--grid", "q=0.80:0.94:15", "--out", str(out))
     assert cp.returncode == 0
-    assert len(out.read_text().splitlines()) == 16  # header + 15 rows
+    assert out.read_bytes() == SWEEP_CSV_Q_15.encode()
 
 
 def test_sweep_bad_grid_exits_2():
     for grid in ("q=nope", "foo=1:2:3"):
         assert_usage_error(run_cli("sweep", "--grid", grid))
+
+
+REGIME_MAP_CSV = (
+    "lambda,big_l,winner,theta_star,n_star,total,error\n"
+    "40,1000,A,0.16,5,5278.00078401,\n"
+    "40,2333.33333333,A,0.466666666667,4,8948.8467947,\n"
+    "40,3666.66666667,I,0.327273727273,8,10075.0027842,\n"
+    "40,5000,I,0.25,8,11749.5149329,\n"
+    "50,1000,A,0.166666666667,6,6519.84889467,\n"
+    "50,2333.33333333,A,0.466666666667,5,11034.5548255,\n"
+    "50,3666.66666667,I,0.327273727273,10,12460.0677701,\n"
+    "50,5000,I,0.25,10,14553.207956,\n"
+    "60,1000,A,0.171428571429,7,7757.27051665,\n"
+    "60,2333.33333333,A,0.466666666667,6,13123.9706712,\n"
+    "60,3666.66666667,I,0.327273727273,12,14850.2729451,\n"
+    "60,5000,I,0.25,12,17362.0411682,\n"
+)
+BOUNDARY_CSV = "lambda,l_boundary\n40,2752.87828947\n50,2756.99013158\n60,2760.27960526\n"
 
 
 def test_regime_map_and_boundary(tmp_path: Path):
@@ -229,10 +267,8 @@ def test_regime_map_and_boundary(tmp_path: Path):
         "--boundary-out", str(boundary),
     )
     assert cp.returncode == 0
-    assert len(out.read_text().splitlines()) == 13  # header + 3*4 cells
-    blines = boundary.read_text().splitlines()
-    assert blines[0] == "lambda,l_boundary"
-    assert len(blines) >= 2
+    assert out.read_bytes() == REGIME_MAP_CSV.encode()
+    assert boundary.read_bytes() == BOUNDARY_CSV.encode()
     # a tolerance that cannot end the bisection is a usage error, found
     # before the map is solved and written
     early = tmp_path / "early.csv"
