@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -24,18 +25,26 @@ SWEEPABLE = ("big_l", "c_n", "c_w", "kappa", "lambda", "q")
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced floats from lo to hi inclusive, equal bit for bit to
-    numpy.linspace(lo, hi, n): the same operations in the same order."""
+    numpy.linspace(lo, hi, n): the same operations in the same order. The
+    list is sized before it is filled, so a count that cannot fit raises
+    MemoryError at once, as does one above sys.maxsize // 8, more pointers
+    than an address space holds."""
     if n < 0:
         raise ValueError(f"number of samples, {n}, must be non-negative")
+    if n > sys.maxsize // 8:
+        raise MemoryError(f"{n} points cannot fit in memory")
     lo, hi = float(lo), float(hi)
     delta = hi - lo
+    points = [0.0 * delta + lo] * n
     if n < 2:
-        return [0.0 * delta + lo] * n
+        return points
     step = delta / (n - 1)
     if step == 0:  # a span below the smallest step: numpy scales by i / (n - 1)
-        points = [i / (n - 1) * delta + lo for i in range(n)]
+        for i in range(n):
+            points[i] = i / (n - 1) * delta + lo
     else:
-        points = [i * step + lo for i in range(n)]
+        for i in range(n):
+            points[i] = i * step + lo
     points[-1] = hi
     return points
 
@@ -98,13 +107,6 @@ def _winner_at(p: ModelParams, lam: float, big_l: float) -> Mode:
     return sol.winner.regime
 
 
-def check_boundary_tol(tol: float) -> None:
-    """Raise ParameterError unless tol is a positive finite number, the
-    bisection tolerance regime_boundary accepts."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
-
-
 def regime_boundary(
     p: ModelParams,
     lambda_grid: list[float],
@@ -119,8 +121,10 @@ def regime_boundary(
     single-crossing shape. Columns whose endpoints
     share a winner contribute no points. Bisection also stops once the
     bracket is two adjacent floats, so a tol below their spacing still ends.
+    A tol that is not a positive finite number raises ParameterError.
     """
-    check_boundary_tol(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
     points: list[BoundaryPoint] = []
     for lam in lambda_grid:
         scan_l = linspace(l_lo, l_hi, BOUNDARY_PRESCAN)

@@ -17,7 +17,9 @@ import sys
 from . import __version__
 from .analysis import (
     FIGURE_IDS,
-    check_boundary_tol,
+    BoundaryPoint,
+    RegimeCell,
+    SweepRow,
     figure_data,
     linspace,
     monotone_violations,
@@ -28,7 +30,7 @@ from .analysis import (
 )
 from .errors import InfeasibleError, ParameterError, UnstableError
 from .output import render_csv, to_json, write_csv, write_manifest
-from .params import BASELINE, ModelParams, _read, load_params
+from .params import BASELINE, FIELD_BY_NAME, ModelParams, _read, load_params
 from .physician import threshold
 from .platform_opt import CostBreakdown, RegimeResult
 from .queueing import queue_metrics
@@ -97,6 +99,15 @@ def _emit(args, p: ModelParams | None, header, rows, out=None, command=None) -> 
         print(f"wrote {out}")
     else:
         sys.stdout.write(render_csv(header, rows))
+
+
+def _record_table(record_type, records) -> tuple[list[str], list[tuple]]:
+    """(header, rows) of one dataclass's records: a column per field in field
+    order, the parameter field lam headed by its outside name lambda."""
+    fields = [f.name for f in dataclasses.fields(record_type)]
+    outside = {field: name for name, field in FIELD_BY_NAME.items()}
+    rows = [tuple(getattr(r, name) for name in fields) for r in records]
+    return [outside.get(name, name) for name in fields], rows
 
 
 def _regime_summary(label: str, res: RegimeResult, thousands: bool) -> list[str]:
@@ -212,37 +223,25 @@ def _cmd_regime_map(args, p: ModelParams) -> int:
             raise ParameterError(f"regime-map grids must be lambda=... or big_l=..., got {name!r}")
         grids[name] = values
     lam_grid, l_grid = grids["lambda"], grids["big_l"]
-    if args.boundary_out:
-        check_boundary_tol(args.tol)
-    cells = regime_map(p, lam_grid, l_grid)
-    header = ["lambda", "big_l", "winner", "theta_star", "n_star", "total", "error"]
-    rows = [
-        (c.lam, c.big_l, c.winner, c.theta_star, c.n_star, c.total, c.error)
-        for c in cells
-    ]
-    _emit(args, p, header, rows)
+    # solve everything before writing anything: a run that fails writes no file
     if args.boundary_out:
         points = regime_boundary(p, lam_grid, min(l_grid), max(l_grid), tol=args.tol)
+    cells = regime_map(p, lam_grid, l_grid)
+    _emit(args, p, *_record_table(RegimeCell, cells))
+    if args.boundary_out:
         for a, b in monotone_violations(points):
             print(
                 f"warning: boundary not nondecreasing between lambda={a.lam:g} "
                 f"(L={a.l_boundary:g}) and lambda={b.lam:g} (L={b.l_boundary:g})",
                 file=sys.stderr,
             )
-        rows = [(pt.lam, pt.l_boundary) for pt in points]
-        _emit(args, p, ["lambda", "l_boundary"], rows, args.boundary_out, "regime-map-boundary")
+        _emit(args, p, *_record_table(BoundaryPoint, points), args.boundary_out, "regime-map-boundary")
     return 0
 
 
 def _cmd_sweep(args, p: ModelParams) -> int:
     name, values = _parse_grid(args.grid)
-    rows = sensitivity_sweep(p, name, values)
-    header = ["param_name", "param_value", "theta_star", "n_star", "total", "winner"]
-    csv_rows = [
-        (r.param_name, r.param_value, r.theta_star, r.n_star, r.total, r.winner)
-        for r in rows
-    ]
-    _emit(args, p, header, csv_rows)
+    _emit(args, p, *_record_table(SweepRow, sensitivity_sweep(p, name, values)))
     return 0
 
 

@@ -86,15 +86,10 @@ def erlang_c(n: int, offered_load: float) -> float:
     return next(c for level, c in _delay_probs(offered_load) if level == n or c == 0.0)
 
 
-def _wait(lam: float, mu: float, n: int, delay_prob: float) -> float:
-    """Expected queue wait W_q = C / (N mu - lam)."""
-    return delay_prob / (n * mu - lam)
-
-
 def queue_metrics(lam: float, mu: float, n: int) -> QueueMetrics:
     """Full steady-state metrics; raises UnstableError if lam >= n mu and
     ParameterError if lam / mu exceeds MAX_OFFERED_LOAD."""
     delay_prob = erlang_c(n, lam / mu)
-    w_q = _wait(lam, mu, n, delay_prob)
+    w_q = delay_prob / (n * mu - lam)  # W_q = C / (N mu - lam)
     return QueueMetrics(rho=lam / mu / n, delay_prob=delay_prob, w_q=w_q, t_total=w_q + 1.0 / mu)
 

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -269,20 +270,23 @@ def test_regime_map_and_boundary(tmp_path: Path):
     assert cp.returncode == 0
     assert out.read_bytes() == REGIME_MAP_CSV.encode()
     assert boundary.read_bytes() == BOUNDARY_CSV.encode()
-    # a tolerance that cannot end the bisection is a usage error, found
-    # before the map is solved and written
-    early = tmp_path / "early.csv"
-    for tol in ("0", "-1", "nan", "inf"):
+    manifests = [Path(str(path) + ".manifest.json") for path in (out, boundary)]
+    # a run that fails writes no file: a tolerance that cannot end the
+    # bisection, and a boundary whose offered load leaves the domain, are
+    # usage errors found before the map is written
+    runs = [("lambda=50:50:1", "big_l=800:5000:3", tol) for tol in ("0", "-1", "nan", "inf")]
+    runs.append(("lambda=1e7:1e7:1", "big_l=1000:1000:1", "1"))
+    failed_map, failed_boundary = tmp_path / "m.csv", tmp_path / "b.csv"
+    for lam, big_l, tol in runs:
         assert_usage_error(run_cli(
             "regime-map",
-            "--grid", "lambda=50:50:1",
-            "--grid", "big_l=800:5000:3",
-            "--out", str(early),
-            "--boundary-out", str(boundary),
+            "--grid", lam,
+            "--grid", big_l,
+            "--out", str(failed_map),
+            "--boundary-out", str(failed_boundary),
             "--tol", tol,
         ))
-    assert not early.exists()
-    assert not Path(str(early) + ".manifest.json").exists()
+        assert sorted(tmp_path.iterdir()) == sorted([out, boundary, *manifests])
 
 
 def test_regime_map_error_cell_is_quoted():
@@ -397,6 +401,23 @@ def test_simulate_refuses_customers_beyond_memory(monkeypatch):
     monkeypatch.setattr(heapq, "heapreplace", out_of_memory)
     cp = run_cli("validate", "--customers", "2000")
     assert (cp.returncode, cp.stderr) == (2, "error: customers must fit in memory, got 2000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure", "--which", "fig2", "--npoints", "1000000000"],
+     "npoints must fit in memory, got 1000000000"),
+    (["sweep", "--grid", "q=0.8:0.9:1000000000"], "grid 'q=0.8:0.9:1000000000' must fit in memory"),
+    (["sweep", "--grid", "q=0.8:0.9:100000000000000000000"],
+     "grid 'q=0.8:0.9:100000000000000000000' must fit in memory"),
+])
+def test_grid_counts_beyond_memory_refused_at_once(argv, message):
+    # the point list is sized before it is filled: under the limit its
+    # allocation fails at once, and a count above sys.maxsize // 8 is refused
+    # unallocated. A list grown point by point took over 6 s to fill the limit.
+    start = time.perf_counter()
+    cp = run_fresh(*argv, limit_as=MEMORY_LIMIT)
+    assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
+    assert time.perf_counter() - start < 3.0
 
 
 def test_grid_counts_beyond_memory_exit_2(monkeypatch):
