@@ -90,6 +90,6 @@ def queue_metrics(lam: float, mu: float, n: int) -> QueueMetrics:
     """Full steady-state metrics; raises UnstableError if lam >= n mu and
     ParameterError if lam / mu exceeds MAX_OFFERED_LOAD."""
     delay_prob = erlang_c(n, lam / mu)
-    w_q = delay_prob / (n * mu - lam)  # W_q = C / (N mu - lam)
+    w_q = delay_prob / (n * mu - lam)
     return QueueMetrics(rho=lam / mu / n, delay_prob=delay_prob, w_q=w_q, t_total=w_q + 1.0 / mu)
 

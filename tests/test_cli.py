@@ -403,35 +403,33 @@ def test_simulate_refuses_customers_beyond_memory(monkeypatch):
     assert (cp.returncode, cp.stderr) == (2, "error: customers must fit in memory, got 2000\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["figure", "--which", "fig2", "--npoints", "1000000000"],
-     "npoints must fit in memory, got 1000000000"),
-    (["sweep", "--grid", "q=0.8:0.9:1000000000"], "grid 'q=0.8:0.9:1000000000' must fit in memory"),
-    (["sweep", "--grid", "q=0.8:0.9:100000000000000000000"],
-     "grid 'q=0.8:0.9:100000000000000000000' must fit in memory"),
-])
-def test_grid_counts_beyond_memory_refused_at_once(argv, message):
-    # the point list is sized before it is filled: under the limit its
-    # allocation fails at once, and a count above sys.maxsize // 8 is refused
-    # unallocated. A list grown point by point took over 6 s to fill the limit.
-    start = time.perf_counter()
-    cp = run_fresh(*argv, limit_as=MEMORY_LIMIT)
-    assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
-    assert time.perf_counter() - start < 3.0
-
-
 def test_grid_counts_beyond_memory_exit_2(monkeypatch):
-    # 10**9 points need 7.45 GiB for the list's pointers alone; the
-    # allocation fails here as it does under a memory limit
+    # 10**9 points need 7.45 GiB for the list's pointers alone. The list is
+    # sized before it is filled, so under the limit its allocation fails at
+    # once, and 10**20 points, above sys.maxsize // 8, are refused without
+    # one; a list grown point by point took over 6 s to fill the limit
+    runs = [
+        (["sweep", "--grid", "q=0.8:0.9:1000000000"], "grid 'q=0.8:0.9:1000000000' must fit in memory"),
+        (["figure", "--which", "fig2", "--npoints", "1000000000"],
+         "npoints must fit in memory, got 1000000000"),
+        (["sweep", "--grid", "q=0.8:0.9:100000000000000000000"],
+         "grid 'q=0.8:0.9:100000000000000000000' must fit in memory"),
+    ]
+    for argv, message in runs:
+        start = time.perf_counter()
+        cp = run_fresh(*argv, limit_as=MEMORY_LIMIT)
+        assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
+        assert time.perf_counter() - start < 3.0
+
+    # in process, with the allocation failing as it does under the limit
     def out_of_memory(lo, hi, n):
         raise MemoryError
 
     monkeypatch.setattr(cli, "linspace", out_of_memory)
     monkeypatch.setattr(analysis, "linspace", out_of_memory)
-    cp = run_cli("sweep", "--grid", "q=0.8:0.9:1000000000")
-    assert (cp.returncode, cp.stderr) == (2, "error: grid 'q=0.8:0.9:1000000000' must fit in memory\n")
-    cp = run_cli("figure", "--which", "fig2", "--npoints", "1000000000")
-    assert (cp.returncode, cp.stderr) == (2, "error: npoints must fit in memory, got 1000000000\n")
+    for argv, message in runs[:2]:
+        cp = run_cli(*argv)
+        assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
 
 
 def test_simulate_seed_and_server_bounds_exit_2():
