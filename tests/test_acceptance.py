@@ -28,7 +28,6 @@ from liabstaff import (
     sensitivity_sweep,
     simulate,
     threshold,
-    validate,
     welfare_curve,
 )
 

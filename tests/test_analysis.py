@@ -22,19 +22,6 @@ from liabstaff import (
 from liabstaff.analysis import linspace
 
 
-def cell_at(cells, lam, big_l):
-    return next(c for c in cells if c.lam == lam and c.big_l == big_l)
-
-
-def test_regime_map_baseline_cell_and_both_regions():
-    lam_grid = [float(v) for v in np.linspace(25, 90, 14)]
-    l_grid = [float(v) for v in np.linspace(800, 5000, 15)]
-    cells = regime_map(BASELINE, lam_grid + [50.0], l_grid + [2000.0])
-    assert cell_at(cells, 50.0, 2000.0).winner is Mode.A
-    winners = {c.winner for c in cells if c.winner is not None}
-    assert winners == {Mode.A, Mode.I}
-
-
 def test_regime_map_low_demand_high_loss_is_independent():
     cells = regime_map(BASELINE, [30.0], [5000.0])
     assert cells[0].winner is Mode.I

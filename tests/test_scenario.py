@@ -43,13 +43,6 @@ def test_s1_baseline_headline():
     assert res.cost.total == pytest.approx(10090.11, abs=0.01)
 
 
-def test_s4_baseline():
-    res = run("S4")
-    assert res.feasible
-    assert res.policy.mode is Mode.I
-    assert res.cost.total == pytest.approx(8590.45, abs=0.01)
-
-
 def test_s0_forces_independent_mode_despite_best_response():
     # theta = 0.5 < theta_d = 0.6 would induce Mode A under free choice;
     # S0 suspends the response and mandates Mode I
@@ -70,16 +63,6 @@ def test_s3_high_floor_lands_in_regime_i():
     assert res.feasible
     assert res.regime is Mode.I
     assert res.policy.theta >= 0.7
-
-
-def test_scenario_cost_ordering_at_baseline():
-    totals = {sid: run(sid).cost.total for sid in ("S0", "S1", "S4")}
-    assert totals["S4"] < totals["S1"] < totals["S0"]
-
-
-def test_welfare_gap_magnitude():
-    gap = run("S1").cost.total - run("S4").cost.total
-    assert 1300.0 <= gap <= 1800.0
 
 
 def test_s1_dominates_constrained_scenarios():
