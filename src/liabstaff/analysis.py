@@ -116,18 +116,19 @@ def regime_boundary(
 ) -> list[BoundaryPoint]:
     """Bisect the loss-severity axis for the regime flip at each lambda.
 
-    A pre-scan of BOUNDARY_PRESCAN evenly spaced severities detects multiple
-    crossings; every detected crossing is emitted rather than assuming the
-    single-crossing shape. Columns whose endpoints
-    share a winner contribute no points. Bisection also stops once the
-    bracket is two adjacent floats, so a tol below their spacing still ends.
-    A tol that is not a positive finite number raises ParameterError.
+    A pre-scan of BOUNDARY_PRESCAN evenly spaced severities, the same for
+    every lambda, detects multiple crossings; every detected crossing is
+    emitted rather than assuming the single-crossing shape, so a lambda whose
+    pre-scan reads A, I, A gives two points. A lambda whose pre-scan winners
+    are all equal contributes none. Bisection also stops once the bracket is
+    two adjacent floats, so a tol below their spacing still ends. A tol that
+    is not a positive finite number raises ParameterError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
     points: list[BoundaryPoint] = []
+    scan_l = linspace(l_lo, l_hi, BOUNDARY_PRESCAN)
     for lam in lambda_grid:
-        scan_l = linspace(l_lo, l_hi, BOUNDARY_PRESCAN)
         winners = [_winner_at(p, lam, big_l) for big_l in scan_l]
         for i in range(BOUNDARY_PRESCAN - 1):
             if winners[i] is winners[i + 1]:
@@ -211,6 +212,13 @@ def figure_data(
     fig3b threshold vs disutility gap k_i - k_a in [20, 150]
     fig4  staffing by mode vs arrival rate in [25, 90]; ``criterion`` selects
           "cost-optimal" (the default) or "min-stable"
+
+    fig4's cost-optimal Mode I column is the optimum over theta in
+    [min(1, theta_d + REGIME_I_EPS), 1]. When theta_d + REGIME_I_EPS >= 1
+    that interval is [1, 1], so n_star_i is the optimum at theta = 1, a
+    share at which physicians choose Mode A, while solve reports Regime I
+    infeasible. The column is kept filled: the benchmark's check reads it
+    as an integer against an oracle on the same interval.
 
     An npoints below 1, or one whose table does not fit in memory, raises
     ParameterError.
