@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .params import FIELD_BY_NAME, Mode, ModelParams, validate
 from .physician import physician_utility, threshold
-from .platform_opt import REGIME_I_EPS, optimize_regime
+from .platform_opt import optimize_regime
 from .queueing import erlang_c, min_staffing
-from .scenario import optimize_platform, optimize_social
+from .scenario import ScenarioSpec, _intervals, optimize_platform, optimize_social
 
 # The outside names of the parameters that sensitivity sweeps may vary.
 SWEEPABLE = ("big_l", "c_n", "c_w", "kappa", "lambda", "q")
@@ -213,12 +213,13 @@ def figure_data(
     fig4  staffing by mode vs arrival rate in [25, 90]; ``criterion`` selects
           "cost-optimal" (the default) or "min-stable"
 
-    fig4's cost-optimal Mode I column is the optimum over theta in
-    [min(1, theta_d + REGIME_I_EPS), 1]. When theta_d + REGIME_I_EPS >= 1
-    that interval is [1, 1], so n_star_i is the optimum at theta = 1, a
-    share at which physicians choose Mode A, while solve reports Regime I
-    infeasible. The column is kept filled: the benchmark's check reads it
-    as an integer against an oracle on the same interval.
+    fig4's cost-optimal columns are the optima over the shares of [0, 1]
+    that induce each mode, as the scenario layer's free spec searches them,
+    with the Mode I interval's lower end clamped at 1. When that end is at or
+    above 1 the interval is [1, 1], so n_star_i is the optimum at theta = 1,
+    a share at which physicians choose Mode A, while solve reports Regime I
+    infeasible. The column is kept filled: the benchmark's check reads it as
+    an integer against an oracle on the same interval.
 
     An npoints below 1, or one whose table does not fit in memory, raises
     ParameterError.
@@ -261,9 +262,9 @@ def _figure_table(which: str, p: ModelParams, npoints: int, criterion: str) -> t
                 n_a = min_staffing(pl.lam, pl.mu_a)
                 n_i = min_staffing(pl.lam, pl.mu_i)
             elif criterion == "cost-optimal":
-                theta_d = threshold(pl).theta_d
-                n_a = optimize_regime(Mode.A, 0.0, min(1.0, theta_d), pl).best.n
-                n_i = optimize_regime(Mode.I, min(1.0, theta_d + REGIME_I_EPS), 1.0, pl).best.n
+                (a_lo, a_hi), (i_lo, i_hi) = _intervals(ScenarioSpec(""), threshold(pl).theta_d)
+                n_a = optimize_regime(Mode.A, a_lo, a_hi, pl).best.n
+                n_i = optimize_regime(Mode.I, min(i_lo, 1.0), i_hi, pl).best.n
             else:
                 raise ValueError(f"unknown staffing criterion {criterion!r}")
             rows.append((lam, n_a, n_i))

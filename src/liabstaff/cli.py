@@ -349,7 +349,11 @@ def _cmd_rerun(args, _p: None) -> int:
     return rerun.func(rerun, p)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first ``main`` call and reused:
+    each parse_args call fills a fresh namespace and copies a list before
+    appending to it, so no call sees the arguments of another."""
     parser = argparse.ArgumentParser(
         prog="liabstaff",
         description="Liability-share and staffing optimization for AI-assisted "
@@ -444,14 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_rerun)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's parser, built on the first ``main`` call and reused:
-    each parse_args call fills a fresh namespace and copies a list before
-    appending to it, so no call sees the arguments of another."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,11 +24,6 @@ from .errors import InfeasibleError
 from .params import Mode, ModelParams, mode_attrs
 from .queueing import _delay_probs, queue_metrics
 
-# Lowest liability share that still induces independent mode; the regime-I
-# interval is open at the threshold, so the scenario layer closes it at this
-# offset.
-REGIME_I_EPS = 1e-6
-
 
 @dataclass(frozen=True)
 class Policy:

@@ -7,9 +7,11 @@ S2  minimum platform liability: theta <= 1 - alpha
 S3  minimum physician liability: theta >= theta_floor
 S4  social welfare benchmark: social objective, mode and N free
 
-A constraint set picks the share interval each mode searches: S0 [0.5, 0.5]
-in Mode I, S4 [0, 0] in each mode, S1-S3 both regimes on their induced-mode
-intervals; the mode with the lower total wins, Mode A on a tie. ``_solve`` is
+A constraint set picks the share interval each mode searches: a spec that
+lists its modes searches its own interval in each of them (S0 [0.5, 0.5] in
+Mode I, S4 [0, 0] in both, where the platform cost is the social cost), and
+any other spec searches the shares of its interval that induce each mode
+(S1-S3). The mode with the lower total wins, Mode A on a tie. ``_solve`` is
 the one place this is written; optimize_platform is its free spec and
 optimize_social is S4. A call gathers the intervals of all its specs per mode,
 reads theta_d at most once, and makes one call of the staffing kernel
@@ -26,7 +28,6 @@ from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
 from .physician import _theta_d
 from .platform_opt import (
-    REGIME_I_EPS,
     CostBreakdown,
     PlatformSolution,
     Policy,
@@ -47,17 +48,21 @@ DEFAULT_THETA_FLOOR = 0.3
 
 S0_THETA = 0.5
 
+# Lowest liability share that still induces independent mode; the regime-I
+# interval is open at the threshold, so it is closed at this offset.
+REGIME_I_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One scenario's constraint set: the share interval [theta_lo, theta_hi],
-    searched in mode_forced alone when it is set."""
+    searched in each listed mode when modes is set, else on the shares of it
+    that induce each mode."""
 
     id: str
     theta_lo: float = 0.0
     theta_hi: float = 1.0
-    mode_forced: Mode | None = None
-    objective: str = "platform"  # "platform" or "social"
+    modes: tuple[Mode, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class ScenarioResult:
     feasible: bool
     policy: Policy | None
     cost: CostBreakdown | None
-    regime: Mode | None  # None when the mode is forced or moot
+    regime: Mode | None  # None when the spec lists its modes
     reason: str | None = None
 
 
@@ -77,7 +82,7 @@ def make_scenario(
 ) -> ScenarioSpec:
     """Build the spec for one of S0..S4."""
     if scenario_id == "S0":
-        return ScenarioSpec(id="S0", theta_lo=S0_THETA, theta_hi=S0_THETA, mode_forced=Mode.I)
+        return ScenarioSpec(id="S0", theta_lo=S0_THETA, theta_hi=S0_THETA, modes=(Mode.I,))
     if scenario_id == "S1":
         return ScenarioSpec(id="S1")
     if scenario_id == "S2":
@@ -89,26 +94,18 @@ def make_scenario(
             raise ParameterError(f"theta_floor must lie in (0, 1], got {theta_floor!r}")
         return ScenarioSpec(id="S3", theta_lo=theta_floor)
     if scenario_id == "S4":
-        return ScenarioSpec(id="S4", objective="social")
+        return ScenarioSpec(id="S4", theta_lo=0.0, theta_hi=0.0, modes=(Mode.A, Mode.I))
     raise ParameterError(f"unknown scenario {scenario_id!r}; valid: {', '.join(SCENARIO_IDS)}")
-
-
-def _free(spec: ScenarioSpec) -> bool:
-    """Whether the spec's mode is the physician's response to theta, so that
-    its search needs the threshold theta_d."""
-    return spec.objective != "social" and spec.mode_forced is None
 
 
 def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple | None, tuple | None]:
     """The share intervals the spec searches in Mode A and in Mode I, None
-    for a mode it does not search: [0, 0] in both for the social objective,
-    its own interval in a forced mode, else the shares of it that induce each
-    mode at threshold theta_d, which is read only when _free(spec)."""
-    if spec.objective == "social":
-        return (0.0, 0.0), (0.0, 0.0)
-    if spec.mode_forced is not None:
+    for a mode it does not search: its own interval in each listed mode, else
+    the shares of it that induce each mode at threshold theta_d, which is
+    read only when spec.modes is None."""
+    if spec.modes is not None:
         interval = (spec.theta_lo, spec.theta_hi)
-        return (interval, None) if spec.mode_forced is Mode.A else (None, interval)
+        return (interval if Mode.A in spec.modes else None, interval if Mode.I in spec.modes else None)
     return (
         (spec.theta_lo, min(spec.theta_hi, theta_d)),
         (max(spec.theta_lo, theta_d + REGIME_I_EPS), spec.theta_hi),
@@ -118,13 +115,13 @@ def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple | None,
 def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, list[tuple]]:
     """theta_d (None when no spec reads it) and, per spec, (found_a, found_i,
     mode): each mode's search tuple on plain floats, None when the mode is not
-    searched or its interval is empty, and the mode of the optimum: the forced
-    one, else the one whose search found the lower total, Mode A on a tie (and
-    only on a tie), or None when neither was searched. One kernel call per
-    mode searches the intervals of every spec, and a mode none of them
-    searches is not walked. Raises ParameterError unless 0 <= theta_lo <=
-    theta_hi <= 1 for each free spec."""
-    free = [s for s in specs if _free(s)]
+    searched or its interval is empty, and the mode of the optimum: the one
+    whose search found the lower total, Mode A on a tie (and only on a tie),
+    or None when neither found a policy. One kernel call per mode searches
+    the intervals of every spec, and a mode none of them searches is not
+    walked. Raises ParameterError unless 0 <= theta_lo <= theta_hi <= 1 for
+    each spec whose modes is None."""
+    free = [s for s in specs if s.modes is None]
     for s in free:
         if not 0.0 <= s.theta_lo <= s.theta_hi <= 1.0:
             raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{s.theta_lo!r}, {s.theta_hi!r}]")
@@ -133,14 +130,13 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, lis
     found_a = iter(_search(Mode.A, [a for a, _ in wanted if a is not None], p))
     found_i = iter(_search(Mode.I, [i for _, i in wanted if i is not None], p))
     solved = []
-    for spec, (a, i) in zip(specs, wanted):
+    for a, i in wanted:
         res_a = None if a is None else next(found_a)
         res_i = None if i is None else next(found_i)
-        mode = spec.mode_forced if spec.objective != "social" else None
-        if mode is None and res_a is not None and (res_i is None or res_a[5] <= res_i[5]):
+        if res_a is not None and (res_i is None or res_a[5] <= res_i[5]):
             mode = Mode.A
-        elif mode is None and res_i is not None:
-            mode = Mode.I
+        else:
+            mode = None if res_i is None else Mode.I
         solved.append((res_a, res_i, mode))
     return theta_d, solved
 
@@ -149,15 +145,14 @@ def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple, p: ModelPa
     """The ScenarioResult of a solved spec; when it has no optimum, the reason
     names the empty constraint set."""
     found_a, found_i, mode = solved
-    found = found_a if mode is Mode.A else found_i
-    if found is None:
+    if mode is None:
         reason = (
             f"no feasible policy in [{spec.theta_lo:g}, {spec.theta_hi:g}] (threshold {theta_d:g})"
-            if mode is None else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
+            if spec.modes is None else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
         )
         return ScenarioResult(spec.id, False, None, None, None, reason=reason)
-    policy, cost = _found_cost(mode, found, p)
-    return ScenarioResult(spec.id, True, policy, cost, regime=mode if _free(spec) else None)
+    policy, cost = _found_cost(mode, found_a if mode is Mode.A else found_i, p)
+    return ScenarioResult(spec.id, True, policy, cost, regime=mode if spec.modes is None else None)
 
 
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:

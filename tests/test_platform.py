@@ -27,8 +27,9 @@ from liabstaff import (
     threshold,
 )
 from liabstaff import platform_opt
-from liabstaff.platform_opt import REGIME_I_EPS, _cost, _regime_result, _search
+from liabstaff.platform_opt import _cost, _regime_result, _search
 from liabstaff.queueing import MAX_OFFERED_LOAD
+from liabstaff.scenario import REGIME_I_EPS
 
 from oracles import (
     brute_force_platform,

@@ -17,9 +17,8 @@ from liabstaff import (
     run_scenario,
 )
 from liabstaff.physician import threshold
-from liabstaff.platform_opt import REGIME_I_EPS
 from liabstaff import scenario
-from liabstaff.scenario import SCENARIO_IDS, optimize_platform, optimize_social
+from liabstaff.scenario import REGIME_I_EPS, SCENARIO_IDS, optimize_platform, optimize_social
 
 from oracles import (
     brute_force_platform,
@@ -50,11 +49,11 @@ def test_s0_forces_independent_mode_despite_best_response():
     assert res.feasible
     assert res.policy.mode is Mode.I
     assert res.policy.theta == 0.5
-    # a forced mode is searched on the spec's share interval
-    wide = run_scenario(ScenarioSpec("X", 0.2, 0.7, mode_forced=Mode.I), BASELINE)
+    # a listed mode is searched on the spec's share interval
+    wide = run_scenario(ScenarioSpec("X", 0.2, 0.7, modes=(Mode.I,)), BASELINE)
     assert wide.policy.mode is Mode.I and 0.2 <= wide.policy.theta <= 0.7
     assert wide.cost.total <= res.cost.total
-    empty = run_scenario(ScenarioSpec("X", 0.7, 0.2, mode_forced=Mode.I), BASELINE)
+    empty = run_scenario(ScenarioSpec("X", 0.7, 0.2, modes=(Mode.I,)), BASELINE)
     assert not empty.feasible and "empty theta interval" in empty.reason
 
 
@@ -139,10 +138,15 @@ def test_empty_scenario_list_rejected():
 
 
 def test_bad_scenario_knobs_rejected():
-    with pytest.raises(ValueError):
-        make_scenario("S2", alpha=1.5)
-    with pytest.raises(ValueError):
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(ParameterError, match="alpha must lie in"):
+            make_scenario("S2", alpha=alpha)
+    with pytest.raises(ParameterError, match="theta_floor must lie in"):
         make_scenario("S3", theta_floor=0.0)
+    # the floor's upper end is admissible
+    assert make_scenario("S3", theta_floor=1.0).theta_lo == 1.0
+    with pytest.raises(ParameterError, match="need 0 <= theta_lo <= theta_hi <= 1"):
+        run_scenario(ScenarioSpec("X", 0.0, 1.0000001), BASELINE)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -179,27 +183,22 @@ def test_scenarios_match_brute_force_oracles(seed, alpha, theta_floor):
 
 def _per_level_result(spec: ScenarioSpec, p) -> ScenarioResult:
     """One spec's result assembled from the per-level reference search."""
-    if spec.objective == "social":
-        res_a, res_i = (optimize_regime_per_level(m, 0.0, 0.0, p) for m in (Mode.A, Mode.I))
-        win = res_a if res_a.cost.total <= res_i.cost.total else res_i
-        return ScenarioResult(spec.id, True, win.best, win.cost, None)
-    if spec.mode_forced is not None:
-        res = optimize_regime_per_level(spec.mode_forced, spec.theta_lo, spec.theta_hi, p)
-        return ScenarioResult(spec.id, True, res.best, res.cost, None)
-    theta_d = threshold(p).theta_d
     lo, hi = spec.theta_lo, spec.theta_hi
-    feasible = [
-        res for res in (
+    if spec.modes is not None:
+        searched = [optimize_regime_per_level(m, lo, hi, p) for m in (Mode.A, Mode.I) if m in spec.modes]
+        reason = f"empty theta interval [{lo:g}, {hi:g}]"
+    else:
+        theta_d = threshold(p).theta_d
+        searched = [
             optimize_regime_per_level(Mode.A, lo, min(hi, theta_d), p),
             optimize_regime_per_level(Mode.I, max(lo, theta_d + REGIME_I_EPS), hi, p),
-        )
-        if res.feasible
-    ]
-    if not feasible:
+        ]
         reason = f"no feasible policy in [{lo:g}, {hi:g}] (threshold {theta_d:g})"
+    feasible = [res for res in searched if res.feasible]
+    if not feasible:
         return ScenarioResult(spec.id, False, None, None, None, reason=reason)
     win = min(feasible, key=lambda res: res.cost.total)  # the first, Regime A, on a tie
-    return ScenarioResult(spec.id, True, win.best, win.cost, win.regime)
+    return ScenarioResult(spec.id, True, win.best, win.cost, win.regime if spec.modes is None else None)
 
 
 @pytest.mark.parametrize(
@@ -215,13 +214,15 @@ def _per_level_result(spec: ScenarioSpec, p) -> ScenarioResult:
         (BASELINE, [make_scenario("S4"), make_scenario("S2", alpha=0.2), ScenarioSpec("X", 0.6000001, 0.6000005)]),
         # a duplicate id: the last spec of an id is the one returned
         (BASELINE, [make_scenario("S3", theta_floor=0.7), make_scenario("S1"), make_scenario("S3", theta_floor=0.1)]),
-        # specs that search Mode A alone, Mode I alone, and both modes on [0, 0]
-        (BASELINE, [ScenarioSpec("X", 0.1, 0.9, mode_forced=Mode.A)]),
-        (dataclasses.replace(BASELINE, lam=5000.0), [ScenarioSpec("X", 0.1, 0.9, mode_forced=Mode.A)]),
+        # specs that search Mode A alone, Mode I alone, and both modes on
+        # [0, 0] and on [0.1, 0.9]
+        (BASELINE, [ScenarioSpec("X", 0.1, 0.9, modes=(Mode.A,))]),
+        (dataclasses.replace(BASELINE, lam=5000.0), [ScenarioSpec("X", 0.1, 0.9, modes=(Mode.A,))]),
         (BASELINE, [make_scenario("S0")]),
         (dataclasses.replace(BASELINE, lam=5000.0), [make_scenario("S0")]),
         (BASELINE, [make_scenario("S4")]),
         (dataclasses.replace(BASELINE, lam=5000.0), [make_scenario("S4")]),
+        (BASELINE, [ScenarioSpec("X", 0.1, 0.9, modes=(Mode.A, Mode.I))]),
     ],
 )
 def test_compare_rows_equal_per_spec_and_per_level_results(p, specs):
@@ -255,8 +256,8 @@ def test_compare_walks_only_the_modes_its_specs_search():
     # A's, 1e4, is not: a call raises exactly when some spec has a non-empty
     # interval in Mode I (S0 and S4 alone are in the test above)
     p = dataclasses.replace(BASELINE, lam=1e7, mu_a=1e3)
-    forced_a = ScenarioSpec("X", 0.1, 0.9, mode_forced=Mode.A)
-    empty_i = ScenarioSpec("Y", 0.7, 0.2, mode_forced=Mode.I)
+    forced_a = ScenarioSpec("X", 0.1, 0.9, modes=(Mode.A,))
+    empty_i = ScenarioSpec("Y", 0.7, 0.2, modes=(Mode.I,))
     rows = compare_scenarios([forced_a, empty_i], p)
     assert [row.result.feasible for row in rows] == [True, False]
     assert rows[0].result == run_scenario(forced_a, p)
@@ -266,7 +267,7 @@ def test_compare_walks_only_the_modes_its_specs_search():
 
 def test_compare_rows_do_not_depend_on_spec_order():
     rng = np.random.default_rng(12)
-    extra = [ScenarioSpec("XA", 0.1, 0.9, mode_forced=Mode.A), ScenarioSpec("XI", 0.7, 0.2, mode_forced=Mode.I)]
+    extra = [ScenarioSpec("XA", 0.1, 0.9, modes=(Mode.A,)), ScenarioSpec("XI", 0.7, 0.2, modes=(Mode.I,))]
     for _ in range(20):
         p = random_valid_params(rng)
         alpha, floor = rng.uniform(0.05, 0.95, size=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import pytest
@@ -15,6 +16,8 @@ from liabstaff import (
     simulate_policy,
 )
 from liabstaff.cli import _VALIDATE_CONFIGS
+from liabstaff.params import BOX_HI, BOX_LO
+from liabstaff.simulator import MAX_CUSTOMERS, check_config
 
 from oracles import simulate_indexed
 
@@ -80,6 +83,32 @@ def test_negative_seed_and_too_many_servers_rejected():
     res = simulate(SimConfig(lam=50, mu=12, n=10**30, customers=100, seed=0))
     assert res.mean_wait == 0.0
     assert 0.0 < res.utilization < 1e-28
+
+
+def test_check_config_accepts_each_bound_and_refuses_past_it():
+    # check_config alone, so nothing is allocated for the largest counts
+    ok = SimConfig(lam=50, mu=12, n=5, customers=100, seed=0)
+    accepted = [
+        dataclasses.replace(ok, lam=BOX_LO, mu=BOX_LO),
+        dataclasses.replace(ok, customers=MAX_CUSTOMERS),
+        dataclasses.replace(ok, error_prob=1.0),
+        dataclasses.replace(ok, customers=30, warmup=10),  # 20 counted
+        dataclasses.replace(ok, n=int(BOX_HI)),
+    ]
+    for cfg in accepted:
+        check_config(cfg)
+    refused = [
+        (dataclasses.replace(ok, customers=MAX_CUSTOMERS + 1), "customers must not exceed"),
+        (dataclasses.replace(ok, error_prob=math.nextafter(1.0, 2.0)), "error_prob must lie in"),
+        (dataclasses.replace(ok, customers=25, warmup=10), "got 15"),
+        (dataclasses.replace(ok, n=int(BOX_HI) + 1), "n must not exceed"),
+    ]
+    for cfg, message in refused:
+        with pytest.raises(ParameterError, match=message):
+            check_config(cfg)
+    # 27 and 37 counted after the default warmup fill 20 batches of one
+    for customers in (30, 41):
+        assert simulate(dataclasses.replace(ok, customers=customers)).customers_counted == 20
 
 
 def test_simulate_policy_matches_analytic_cost():
