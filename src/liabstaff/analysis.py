@@ -10,8 +10,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import ParameterError
 from .params import FIELD_BY_NAME, Mode, ModelParams, validate
 from .physician import physician_utility, threshold
@@ -49,7 +49,7 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
-@dataclass(frozen=True)
+@record
 class RegimeCell:
     """One point of the demand-risk regime map."""
 
@@ -62,7 +62,7 @@ class RegimeCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     param_name: str
     param_value: float
@@ -96,7 +96,7 @@ def regime_map(p: ModelParams, lambda_grid: list[float], l_grid: list[float]) ->
 BOUNDARY_PRESCAN = 20
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryPoint:
     lam: float
     l_boundary: float

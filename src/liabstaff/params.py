@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from ._record import record
 from .errors import ParameterError
 from .queueing import MAX_OFFERED_LOAD
 
@@ -27,7 +27,7 @@ class Mode(Enum):
     I = "I"
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Calibrated model primitives. Immutable once validated.
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .params import Mode, ModelParams, mode_attrs
 
 
-@dataclass(frozen=True)
+@record
 class ThresholdReport:
     """Indifference liability share and its closed-form sensitivities.
 

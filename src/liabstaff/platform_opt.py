@@ -8,9 +8,12 @@ unconstrained stationary point followed by a finite staffing enumeration.
 
 Every optimum is found by the one staffing kernel, ``_search``, which runs on
 plain floats: given a mode and a list of share intervals, it walks the mode's
-Erlang levels once and returns one search tuple per interval.
-``optimize_regime`` calls it on one interval and wraps its tuple into Policy,
-CostBreakdown and RegimeResult. Which intervals each mode searches, and which
+Erlang levels once and returns one search tuple per interval, which carries
+the optimum's staffing, share and four cost terms. It is also the one place
+a share interval is checked. ``optimize_regime`` calls it on one interval and
+wraps its tuple into Policy, CostBreakdown and RegimeResult without pricing
+the optimum again; ``_cost`` prices the fixed policies of cost_breakdown,
+social_cost and the simulator. Which intervals each mode searches, and which
 mode wins, is decided in one place, the scenario layer, which also holds the
 platform and social optimum. Nothing is kept across calls.
 """
@@ -18,14 +21,14 @@ platform and social optimum. Nothing is kept across calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import InfeasibleError
+from ._record import record
+from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams, mode_attrs
 from .queueing import _delay_probs, queue_metrics
 
 
-@dataclass(frozen=True)
+@record
 class Policy:
     """A (liability share, staffing, mode) decision."""
 
@@ -34,7 +37,7 @@ class Policy:
     mode: Mode
 
 
-@dataclass(frozen=True)
+@record
 class CostBreakdown:
     risk: float
     congestion: float
@@ -43,7 +46,7 @@ class CostBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
+@record
 class RegimeResult:
     """Outcome of optimizing within one induced-mode regime."""
 
@@ -55,7 +58,7 @@ class RegimeResult:
     n_searched: tuple[int, int] | None  # inclusive staffing range enumerated
 
 
-@dataclass(frozen=True)
+@record
 class PlatformSolution:
     regime_a: RegimeResult
     regime_i: RegimeResult
@@ -100,11 +103,13 @@ def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> floa
 
 def _search(
     m: Mode, intervals: list[tuple[float, float]], p: ModelParams
-) -> list[tuple[int, int, int, float, float, float] | None]:
+) -> list[tuple[int, int, int, float, float, float, float, float, float] | None]:
     """The staffing searches of one mode, one per share interval
     [theta_lo, theta_hi] in intervals, on plain floats: for each, in order,
-    (n_lo, n_hi, N*, theta*, system time at N*, total at N*), or None when
-    the interval is empty.
+    (n_lo, n_hi, N*, theta*, risk, congestion, staffing, compliance, total),
+    the last five the cost terms at N*, or None when the interval is empty
+    (theta_lo > theta_hi). Raises ParameterError for an interval that is
+    neither empty nor within [0, 1], one with a NaN bound included.
 
     Each search enumerates N upward from the smallest level erlang_c accepts,
     with theta at theta_optimal(N), and stops after level N once the bound
@@ -127,11 +132,12 @@ def _search(
     pulled from one _delay_probs stream, first when a non-empty interval is
     searched and then only past the deepest level reached, into a list of
     system times W_q + 1/mu, each formed once as queue_metrics forms it; each
-    interval's search then runs to its stop level over that list. Totals and
-    shares are formed as _cost and theta_optimal form them, the min/max clamp
-    written as the comparisons those builtins make, so every tuple is
-    bit-identical to one built from those functions. A level's share, risk,
-    staffing and compliance serve both its bound and its total.
+    interval's search then runs to its stop level over that list. Cost terms
+    and shares are formed as _cost and theta_optimal form them, the min/max
+    clamp written as the comparisons those builtins make, so every tuple is
+    bit-identical to one built from those functions: its cost terms are the
+    CostBreakdown that _cost returns at N*. A level's share, risk, staffing
+    and compliance serve both its bound and its total.
     """
     mu, err_prob, _ = mode_attrs(m, p)
     lam, big_l, c_w, c_n, kappa = p.lam, p.big_l, p.c_w, p.c_n, p.kappa
@@ -142,37 +148,41 @@ def _search(
     levels = times = n_lo = None
     found = []
     for theta_lo, theta_hi in intervals:
-        if theta_lo > theta_hi:
+        if not 0.0 <= theta_lo <= theta_hi <= 1.0:
+            if not theta_lo > theta_hi:
+                raise ParameterError(
+                    f"theta interval [{theta_lo!r}, {theta_hi!r}] is neither empty nor within [0, 1]"
+                )
             found.append(None)
             continue
         if levels is None:
             levels = _delay_probs(lam / mu)
             n_lo, delay_prob = next(levels)
             times = [delay_prob / (n_lo * mu - lam) + t_free]
-        n, best_n = n_lo, None
+        n, best = n_lo, None
         while True:
             theta = stationary / (two_kappa * n)
             theta = theta_lo if theta_lo > theta else theta
             theta = theta_hi if theta_hi < theta else theta
             risk = lam * (1.0 - theta) * big_l * err_prob
             staffing, compliance = c_n * n, kappa * theta * theta * n
-            if best_n is not None and not risk + free_congestion + staffing + compliance < best_total:
+            if best is not None and not risk + free_congestion + staffing + compliance < best_total:
                 break
             k = n - n_lo
             if k == len(times):
                 times.append(next(levels)[1] / (n * mu - lam) + t_free)
-            total = risk + rate_c_w * times[k] + staffing + compliance
-            if best_n is None or total < best_total:
-                best_n, best_theta, best_t, best_total = n, theta, times[k], total
+            congestion = rate_c_w * times[k]
+            total = risk + congestion + staffing + compliance
+            if best is None or total < best_total:
+                best, best_total = (n, theta, risk, congestion, staffing, compliance, total), total
             n += 1
-        found.append((n_lo, n - 1, best_n, best_theta, best_t, best_total))
+        found.append((n_lo, n - 1, *best))
     return found
 
 
-def _found_cost(m: Mode, found: tuple, p: ModelParams) -> tuple[Policy, CostBreakdown]:
-    """The policy and cost breakdown of a search's optimum."""
-    _, _, n, theta, t_total, _ = found
-    return Policy(theta=theta, n=n, mode=m), _cost(theta, n, mode_attrs(m, p)[1], t_total, p)
+def _found_cost(m: Mode, found: tuple) -> tuple[Policy, CostBreakdown]:
+    """The policy and cost breakdown of a search's optimum, from its tuple."""
+    return Policy(found[3], found[2], m), CostBreakdown(*found[4:])
 
 
 def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult:
@@ -180,7 +190,7 @@ def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult
     if found is None:
         return RegimeResult(m, False, None, None, None, None)
     n_lo, n_hi, n = found[:3]
-    return RegimeResult(m, True, *_found_cost(m, found, p), theta_unconstrained(m, n, p), (n_lo, n_hi))
+    return RegimeResult(m, True, *_found_cost(m, found), theta_unconstrained(m, n, p), (n_lo, n_hi))
 
 
 def optimize_regime(
@@ -188,7 +198,9 @@ def optimize_regime(
 ) -> RegimeResult:
     """Minimize cost over stable staffing levels within one regime: the
     staffing search _search on the one interval, with Policy, CostBreakdown
-    and RegimeResult built once, for the winning level."""
+    and RegimeResult built once, for the winning level. An empty interval
+    (theta_lo > theta_hi) gives an infeasible result; one that is neither
+    empty nor within [0, 1] raises ParameterError."""
     return _regime_result(regime, _search(regime, [(theta_lo, theta_hi)], p)[0], p)
 
 

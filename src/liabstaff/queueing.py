@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import ParameterError, UnstableError
 
 # Utilization this close to 1 produces waits dominated by rounding noise;
@@ -27,7 +27,7 @@ _RHO_CEILING = 1.0 - 1e-9
 MAX_OFFERED_LOAD = 1e6
 
 
-@dataclass(frozen=True)
+@record
 class QueueMetrics:
     """Steady-state measures for one (lambda, mu, N) configuration."""
 

@@ -22,8 +22,7 @@ results that are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
 from .physician import _theta_d
@@ -53,7 +52,7 @@ S0_THETA = 0.5
 REGIME_I_EPS = 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioSpec:
     """One scenario's constraint set: the share interval [theta_lo, theta_hi],
     searched in each listed mode when modes is set, else on the shares of it
@@ -65,7 +64,7 @@ class ScenarioSpec:
     modes: tuple[Mode, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioResult:
     id: str
     feasible: bool
@@ -120,7 +119,8 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, lis
     or None when neither found a policy. One kernel call per mode searches
     the intervals of every spec, and a mode none of them searches is not
     walked. Raises ParameterError unless 0 <= theta_lo <= theta_hi <= 1 for
-    each spec whose modes is None."""
+    each spec whose modes is None, and, from _search, for a listed-mode spec
+    whose interval is neither empty nor within [0, 1]."""
     free = [s for s in specs if s.modes is None]
     for s in free:
         if not 0.0 <= s.theta_lo <= s.theta_hi <= 1.0:
@@ -133,7 +133,7 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, lis
     for a, i in wanted:
         res_a = None if a is None else next(found_a)
         res_i = None if i is None else next(found_i)
-        if res_a is not None and (res_i is None or res_a[5] <= res_i[5]):
+        if res_a is not None and (res_i is None or res_a[-1] <= res_i[-1]):
             mode = Mode.A
         else:
             mode = None if res_i is None else Mode.I
@@ -141,7 +141,7 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, lis
     return theta_d, solved
 
 
-def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple, p: ModelParams) -> ScenarioResult:
+def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple) -> ScenarioResult:
     """The ScenarioResult of a solved spec; when it has no optimum, the reason
     names the empty constraint set."""
     found_a, found_i, mode = solved
@@ -151,7 +151,7 @@ def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple, p: ModelPa
             if spec.modes is None else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
         )
         return ScenarioResult(spec.id, False, None, None, None, reason=reason)
-    policy, cost = _found_cost(mode, found_a if mode is Mode.A else found_i, p)
+    policy, cost = _found_cost(mode, found_a if mode is Mode.A else found_i)
     return ScenarioResult(spec.id, True, policy, cost, regime=mode if spec.modes is None else None)
 
 
@@ -159,7 +159,7 @@ def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem; an empty constraint set
     gives an infeasible result that names it."""
     theta_d, (solved,) = _solve([spec], p)
-    return _result(spec, theta_d, solved, p)
+    return _result(spec, theta_d, solved)
 
 
 def optimize_platform(
@@ -175,7 +175,7 @@ def optimize_platform(
     theta_d, (solved,) = _solve([spec], p)
     found_a, found_i, winner = solved
     if winner is None:
-        raise InfeasibleError(_result(spec, theta_d, solved, p).reason)
+        raise InfeasibleError(_result(spec, theta_d, solved).reason)
     res_a, res_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
     return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=res_a if winner is Mode.A else res_i)
 
@@ -188,10 +188,10 @@ def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     toward Mode A, then toward smaller N. This is S4's path.
     """
     _, ((found_a, found_i, mode),) = _solve([make_scenario("S4")], p)
-    return _found_cost(mode, found_a if mode is Mode.A else found_i, p)
+    return _found_cost(mode, found_a if mode is Mode.A else found_i)
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioRow:
     """One comparison-table row; pct_vs_s1 is None when S1 is absent."""
 
@@ -208,7 +208,7 @@ def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[Scenari
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
     theta_d, solved = _solve(specs, p)
     last = {spec.id: (spec, solution) for spec, solution in zip(specs, solved)}
-    results = {sid: _result(spec, theta_d, solution, p) for sid, (spec, solution) in last.items()}
+    results = {sid: _result(spec, theta_d, solution) for sid, (spec, solution) in last.items()}
     s1 = results.get("S1")
     s1_total = s1.cost.total if s1 is not None and s1.feasible else None
     rows = []

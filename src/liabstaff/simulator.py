@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import ParameterError, UnstableError
 from .params import BOX_HI, BOX_LO, ModelParams, mode_attrs
 from .platform_opt import CostBreakdown, Policy, _cost
@@ -32,7 +32,7 @@ N_BATCHES = 20
 MAX_CUSTOMERS = sys.maxsize // 8
 
 
-@dataclass(frozen=True)
+@record
 class SimConfig:
     lam: float
     mu: float
@@ -43,7 +43,7 @@ class SimConfig:
     error_prob: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class SimResult:
     """Batch-means point estimates; *_stderr fields use 20 equal batches."""
 
@@ -169,7 +169,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     )
 
 
-@dataclass(frozen=True)
+@record
 class EmpiricalCost:
     """Monte-Carlo estimate of the platform cost at one policy.
 

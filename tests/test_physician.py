@@ -59,6 +59,12 @@ def test_best_response_examples():
     assert best_response(math.nextafter(theta_d, 1.0), BASELINE) is Mode.I
 
 
+def test_best_response_accepts_theta_one_and_refuses_the_next_float():
+    assert best_response(1.0, BASELINE) is Mode.I
+    with pytest.raises(ValueError, match="theta must lie in"):
+        best_response(math.nextafter(1.0, 2.0), BASELINE)
+
+
 def test_best_response_matches_utility_argmax_on_grid():
     for theta in np.linspace(0.0, 1.0, 1001):
         assert best_response(float(theta), BASELINE) is argmax_mode(float(theta), BASELINE)

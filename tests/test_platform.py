@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,12 @@ def test_cost_breakdown_unstable_names_min_staffing():
     assert cost_breakdown(0.4, 6, Mode.A, p).total > 0
 
 
+def test_cost_breakdown_accepts_theta_one_and_refuses_the_next_float():
+    assert cost_breakdown(1.0, 5, Mode.A, BASELINE).risk == 0.0
+    with pytest.raises(ValueError, match="theta must lie in"):
+        cost_breakdown(math.nextafter(1.0, 2.0), 5, Mode.A, BASELINE)
+
+
 def test_theta_unconstrained_examples():
     assert theta_unconstrained(Mode.A, 5, BASELINE) == pytest.approx(0.40, abs=1e-12)
     assert theta_unconstrained(Mode.I, 10, BASELINE) == pytest.approx(0.10, abs=1e-12)
@@ -100,6 +107,26 @@ def test_theta_optimal_clamping():
     assert theta_optimal(Mode.I, 10, 0.601, 1.0, BASELINE) == pytest.approx(0.601)
     with pytest.raises(InfeasibleError):
         theta_optimal(Mode.A, 5, 0.7, 0.3, BASELINE)
+
+
+def test_theta_optimal_accepts_a_point_interval_and_refuses_an_empty_one():
+    assert theta_optimal(Mode.A, 5, 0.3, 0.3, BASELINE) == 0.3
+    with pytest.raises(InfeasibleError, match="empty theta interval"):
+        theta_optimal(Mode.A, 5, math.nextafter(0.3, 1.0), 0.3, BASELINE)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (math.nan, 0.5), (0.2, math.nan), (math.nan, math.nan), (-0.1, 0.5), (0.2, 1.5), (1.5, 1.5),
+])
+def test_optimize_regime_refuses_a_share_interval_outside_0_1(lo, hi):
+    for m in (Mode.A, Mode.I):
+        with pytest.raises(ParameterError, match="neither empty nor within"):
+            optimize_regime(m, lo, hi, BASELINE)
+
+
+def test_optimize_regime_gives_an_empty_interval_outside_0_1_as_infeasible():
+    for lo, hi in ((1.5, 1.2), (0.2, -0.1)):
+        assert not optimize_regime(Mode.I, lo, hi, BASELINE).feasible
 
 
 def test_theta_optimal_matches_grid_argmin():
@@ -331,7 +358,8 @@ def test_search_gives_a_tie_to_the_smaller_n(monkeypatch):
     # both levels total 4.5 with no risk and no compliance at theta = 0
     monkeypatch.setattr(platform_opt, "_delay_probs", lambda a: iter([(2, 1.5), (3, 1.0), (4, 0.0)]))
     p = ModelParams(lam=1.0, mu_a=1.0, mu_i=0.5, big_l=0.0, c_w=1.0, c_n=1.0, kappa=1.0)
-    assert _search(Mode.A, [(0.0, 0.0)], p) == [(2, 3, 2, 0.0, 2.5, 4.5)]
+    # (n_lo, n_hi, N*, theta*, risk, congestion, staffing, compliance, total)
+    assert _search(Mode.A, [(0.0, 0.0)], p) == [(2, 3, 2, 0.0, 0.0, 2.5, 2.0, 0.0, 4.5)]
 
 
 def test_offered_load_above_domain_limit_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,17 @@ def test_min_staffing_at_exact_balance():
 def test_min_staffing_overflowing_load_rejected():
     with pytest.raises(ParameterError, match="overflows"):
         min_staffing(1.0, 1e-320)
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, math.inf)])
+def test_min_staffing_refuses_a_zero_or_infinite_rate(lam, mu):
+    with pytest.raises(ParameterError, match="rates must be positive and finite"):
+        min_staffing(lam, mu)
+
+
+def test_erlang_c_refuses_an_infinite_offered_load():
+    with pytest.raises(ValueError, match="offered load must be nonnegative and finite"):
+        erlang_c(5, math.inf)
 
 
 def test_erlang_c_matches_direct_summation_examples():

@@ -149,6 +149,21 @@ def test_bad_scenario_knobs_rejected():
         run_scenario(ScenarioSpec("X", 0.0, 1.0000001), BASELINE)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (math.nan, 0.5), (0.2, math.nan), (math.nan, math.nan), (-0.1, 0.5), (0.2, 1.5), (1.5, 2.0),
+])
+def test_listed_mode_spec_refuses_bounds_outside_0_1(lo, hi):
+    for modes in ((Mode.A,), (Mode.I,), (Mode.A, Mode.I)):
+        with pytest.raises(ParameterError, match="neither empty nor within"):
+            run_scenario(ScenarioSpec("X", lo, hi, modes=modes), BASELINE)
+
+
+def test_listed_mode_spec_with_an_empty_interval_outside_0_1_is_infeasible():
+    for modes in ((Mode.A,), (Mode.I,), (Mode.A, Mode.I)):
+        res = run_scenario(ScenarioSpec("X", 1.5, 1.2, modes=modes), BASELINE)
+        assert not res.feasible and res.reason == "empty theta interval [1.5, 1.2]"
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -283,8 +298,9 @@ def test_compare_rows_do_not_depend_on_spec_order():
     (lambda total_a: math.nan, Mode.I),
 ], ids=["tie", "one_ulp_below", "nan"])
 def test_mode_a_wins_a_tie_and_only_a_tie(monkeypatch, total_i, winner):
-    # Mode I's search total is rigged to equal Mode A's, to lie one ulp below
-    # it, or to be NaN; _solve searches Mode A first
+    # Mode I's search total, the last entry of its tuple, is rigged to equal
+    # Mode A's, to lie one ulp below it, or to be NaN; _solve searches Mode A
+    # first
     search, found_a = scenario._search, []
 
     def rigged(m, intervals, p):
@@ -292,7 +308,7 @@ def test_mode_a_wins_a_tie_and_only_a_tie(monkeypatch, total_i, winner):
         if m is Mode.A:
             found_a[:] = found
             return found
-        return [(*f[:5], total_i(a[5])) for f, a in zip(found, found_a)]
+        return [(*f[:-1], total_i(a[-1])) for f, a in zip(found, found_a)]
 
     monkeypatch.setattr(scenario, "_search", rigged)
     assert optimize_platform(BASELINE).winner.regime is winner
