@@ -42,11 +42,12 @@ from .scenario import (
     make_scenario,
     optimize_platform,
 )
-from .simulator import SimConfig, check_config, simulate
+from .simulator import SimConfig, SimResult, check_config, simulate
 
 CONFIG_ENV_VAR = "LIABSTAFF_CONFIG"
 
-DEFAULT_L_GRID = "big_l=800:5000:25"
+# the grids regime-map and welfare run without --grid, as name -> lo:hi:npoints
+DEFAULT_GRIDS = {"lambda": "25:90:25", "big_l": "800:5000:25"}
 
 # the four cost terms, then their total
 _COST_FIELDS = [f.name for f in dataclasses.fields(CostBreakdown)]
@@ -216,7 +217,7 @@ def _print_scenario_notes(rows, thousands: bool) -> None:
 
 
 def _cmd_regime_map(args, p: ModelParams) -> int:
-    grids = dict(_parse_grid(spec) for spec in ("lambda=25:90:25", DEFAULT_L_GRID))
+    grids = dict(_parse_grid(f"{name}={spec}") for name, spec in DEFAULT_GRIDS.items())
     for spec in args.grid or []:
         name, values = _parse_grid(spec)
         if name not in grids:
@@ -246,7 +247,7 @@ def _cmd_sweep(args, p: ModelParams) -> int:
 
 
 def _cmd_welfare(args, p: ModelParams) -> int:
-    name, values = _parse_grid(args.grid or DEFAULT_L_GRID)
+    name, values = _parse_grid(args.grid or f"big_l={DEFAULT_GRIDS['big_l']}")
     if name != "big_l":
         raise ParameterError(f"welfare sweeps big_l only, got {name!r}")
     rows = welfare_curve(p, values)
@@ -261,12 +262,11 @@ def _cmd_figure(args, p: ModelParams) -> int:
     return 0
 
 
-def _simulate_checked(cfg: SimConfig):
+def _analytic(cfg: SimConfig):
     """Check cfg, then the analytic domain, before any customer is simulated:
-    the (SimResult, QueueMetrics) pair of one configuration."""
+    the QueueMetrics of one configuration."""
     check_config(cfg)
-    analytic = queue_metrics(cfg.lam, cfg.mu, cfg.n)
-    return simulate(cfg), analytic
+    return queue_metrics(cfg.lam, cfg.mu, cfg.n)
 
 
 def _cmd_simulate(args, _p: None) -> int:
@@ -279,25 +279,14 @@ def _cmd_simulate(args, _p: None) -> int:
         warmup=args.warmup,
         error_prob=args.error_prob,
     )
-    result, analytic = _simulate_checked(cfg)
+    analytic = _analytic(cfg)
+    result = simulate(cfg)
     if args.out:
-        columns = [
-            ("mean_wait", result.mean_wait),
-            ("wait_stderr", result.wait_stderr),
-            ("mean_system_time", result.mean_system_time),
-            ("system_time_stderr", result.system_time_stderr),
-            ("utilization", result.utilization),
-            ("utilization_stderr", result.utilization_stderr),
-            ("error_rate", result.error_rate),
-            ("error_rate_stderr", result.error_rate_stderr),
-            ("customers_counted", result.customers_counted),
-            ("analytic_w_q", analytic.w_q),
-            ("analytic_rho", analytic.rho),
-            ("rng_algorithm", result.rng_algorithm),
-            ("seed", args.seed),
-        ]
-        header, row = zip(*columns)
-        _emit(args, None, list(header), [row])
+        # SimResult's estimates in field order, the analytic values, then
+        # what reproduces the draws: SimResult's last field and the seed
+        header, (row,) = _record_table(SimResult, [result])
+        _emit(args, None, [*header[:-1], "analytic_w_q", "analytic_rho", header[-1], "seed"],
+              [(*row[:-1], analytic.w_q, analytic.rho, row[-1], args.seed)])
     else:
         print(f"mean_wait = {result.mean_wait:.6g} +- {result.wait_stderr:.2g} h "
               f"(analytic {analytic.w_q:.6g} h)")
@@ -310,17 +299,18 @@ _VALIDATE_CONFIGS = ((50.0, 12.0, 5), (50.0, 6.0, 10))
 
 
 def _cmd_validate(args, _p: None) -> int:
+    cfgs = [SimConfig(lam=lam, mu=mu, n=n, customers=args.customers, seed=args.seed)
+            for lam, mu, n in _VALIDATE_CONFIGS]
+    # check every configuration before printing: a refused run prints nothing
+    analytics = [_analytic(cfg) for cfg in cfgs]
     ok = True
     print(f"{'lambda':>8} {'mu':>6} {'n':>3} {'sim_wq':>10} {'analytic':>10} {'stderr':>9}  result")
-    for lam, mu, n in _VALIDATE_CONFIGS:
-        res, analytic = _simulate_checked(
-            SimConfig(lam=lam, mu=mu, n=n, customers=args.customers, seed=args.seed)
-        )
-        wq = analytic.w_q
+    for cfg, analytic in zip(cfgs, analytics):
+        res, wq = simulate(cfg), analytic.w_q
         passed = abs(res.mean_wait - wq) <= 3.0 * res.wait_stderr
         ok = ok and passed
         print(
-            f"{lam:8g} {mu:6g} {n:3d} {res.mean_wait:10.5f} {wq:10.5f} "
+            f"{cfg.lam:8g} {cfg.mu:6g} {cfg.n:3d} {res.mean_wait:10.5f} {wq:10.5f} "
             f"{res.wait_stderr:9.5f}  {'PASS' if passed else 'FAIL'}"
         )
     return 0 if ok else 1
@@ -362,86 +352,71 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"liabstaff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, thousands=False):
-        sp.add_argument(
-            "--config",
-            help=f"key = value parameter file (default: ${CONFIG_ENV_VAR} or built-in baseline)",
-        )
-        if thousands:
-            sp.add_argument(
-                "--thousands",
-                action="store_true",
-                help="display currency in thousands of dollars",
-            )
+    # each option that more than one command takes, declared once as a parent parser
+    config, thousands, as_json, out, draws = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    config.add_argument("--config", help="key = value parameter file "
+                        f"(default: ${CONFIG_ENV_VAR} or built-in baseline)")
+    thousands.add_argument("--thousands", action="store_true",
+                           help="display currency in thousands of dollars")
+    as_json.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    out.add_argument("--out", help="CSV output path (default: print to stdout)")
+    draws.add_argument("--customers", type=int, default=200_000)
+    draws.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("solve", help="optimal liability share, staffing, and regime")
-    common(sp, thousands=True)
+    sp = sub.add_parser("solve", help="optimal liability share, staffing, and regime",
+                        parents=[config, thousands, as_json])
     sp.add_argument("--theta-lo", type=float, default=0.0, help="lower liability bound (default 0)")
     sp.add_argument("--theta-hi", type=float, default=1.0, help="upper liability bound (default 1)")
-    sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("threshold", help="physician indifference share and sensitivities")
-    common(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=_cmd_threshold)
+    sub.add_parser("threshold", help="physician indifference share and sensitivities",
+                   parents=[config, as_json]).set_defaults(func=_cmd_threshold)
 
-    sp = sub.add_parser("scenario", help="run policy scenarios S0..S4")
-    common(sp, thousands=True)
+    sp = sub.add_parser("scenario", help="run policy scenarios S0..S4",
+                        parents=[config, thousands, as_json, out])
     sp.add_argument("--scenarios", default=",".join(SCENARIO_IDS), help="comma list, e.g. S0,S1,S4")
     sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                     help=f"minimum platform liability fraction for S2 (default {DEFAULT_ALPHA})")
     sp.add_argument("--theta-floor", type=float, default=DEFAULT_THETA_FLOOR,
                     help=f"minimum physician share for S3 (default {DEFAULT_THETA_FLOOR})")
-    sp.add_argument("--out", help="CSV output path (default: print to stdout)")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_scenario)
 
-    sp = sub.add_parser("regime-map", help="optimal-mode map over the (lambda, L) plane")
-    common(sp)
+    sp = sub.add_parser("regime-map", help="optimal-mode map over the (lambda, L) plane",
+                        parents=[config, out])
     sp.add_argument("--grid", action="append",
-                    help="lambda=lo:hi:n or big_l=lo:hi:n (repeatable; defaults 25:90:25, 800:5000:25)")
-    sp.add_argument("--out", help="CSV output path")
+                    help="lambda=lo:hi:n or big_l=lo:hi:n "
+                    f"(repeatable; defaults {', '.join(DEFAULT_GRIDS.values())})")
     sp.add_argument("--boundary-out", help="also bisect and write the regime boundary CSV")
     sp.add_argument("--tol", type=float, default=1.0, help="boundary bisection tolerance in dollars")
     sp.set_defaults(func=_cmd_regime_map)
 
-    sp = sub.add_parser("sweep", help="one-parameter sensitivity sweep")
-    common(sp)
+    sp = sub.add_parser("sweep", help="one-parameter sensitivity sweep", parents=[config, out])
     sp.add_argument("--grid", required=True, help="name=lo:hi:n, e.g. q=0.80:0.94:15")
-    sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("welfare", help="platform-vs-social cost gap across loss severity")
-    common(sp)
-    sp.add_argument("--grid", help="big_l=lo:hi:n (default 800:5000:25)")
-    sp.add_argument("--out", help="CSV output path")
+    sp = sub.add_parser("welfare", help="platform-vs-social cost gap across loss severity",
+                        parents=[config, out])
+    sp.add_argument("--grid", help=f"big_l=lo:hi:n (default {DEFAULT_GRIDS['big_l']})")
     sp.set_defaults(func=_cmd_welfare)
 
-    sp = sub.add_parser("figure", help="plot-ready data tables for the expository figures")
-    common(sp)
+    sp = sub.add_parser("figure", help="plot-ready data tables for the expository figures",
+                        parents=[config, out])
     sp.add_argument("--which", required=True, choices=FIGURE_IDS)
     sp.add_argument("--npoints", type=int, default=101)
     sp.add_argument("--criterion", default="cost-optimal", choices=("cost-optimal", "min-stable"),
                     help="staffing criterion for fig4")
-    sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(func=_cmd_figure)
 
-    sp = sub.add_parser("simulate", help="seeded discrete-event M/M/N replication")
+    sp = sub.add_parser("simulate", help="seeded discrete-event M/M/N replication", parents=[draws, out])
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--customers", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--error-prob", type=float, default=0.0)
     sp.add_argument("--warmup", type=int, default=None, help="customers discarded (default 10%%)")
-    sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("validate", help="simulated waits vs analytic formulas, pass/fail table")
-    sp.add_argument("--customers", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_validate)
+    sub.add_parser("validate", help="simulated waits vs analytic formulas, pass/fail table",
+                   parents=[draws]).set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("rerun", help="re-run a command from an output manifest")
     sp.add_argument("--manifest", required=True)

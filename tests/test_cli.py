@@ -395,6 +395,8 @@ def test_grid_counts_beyond_memory_exit_2(monkeypatch):
     for argv, message in runs[:2]:
         cp = run_cli(*argv)
         assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
+        if argv[0] == "validate":  # a refused run prints no table header
+            assert cp.stdout == ""
 
 
 def test_simulate_seed_and_server_bounds_exit_2():
@@ -419,6 +421,8 @@ def test_simulate_seed_and_server_bounds_exit_2():
     ):
         cp = run_cli(*argv)
         assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
+        if argv[0] == "validate":  # a refused run prints no table header
+            assert cp.stdout == ""
 
 
 def test_rerun_parses_its_config_once(tmp_path: Path, monkeypatch):
@@ -819,7 +823,9 @@ def test_validate_command():
     cp = run_cli("validate", "--customers", "40000", "--seed", "3")
     assert cp.returncode == 0
     assert cp.stdout.count("PASS") == 2
-    assert_usage_error(run_cli("validate", "--customers", "10"))
+    refused = run_cli("validate", "--customers", "10")
+    assert_usage_error(refused)
+    assert refused.stdout == ""  # both configurations are checked before the header
 
 
 # The parser is built once per process and reused by every later main()

@@ -136,3 +136,7 @@ def test_offered_load_above_domain_limit_rejected():
         erlang_c(n, a)
     with pytest.raises(ParameterError, match="domain limit"):
         queue_metrics(12.0 * a, 12.0, n)
+    # the limit itself is inside the domain, the next float above it is not
+    assert 0.0 < erlang_c(1_000_001, MAX_OFFERED_LOAD) < 1.0
+    with pytest.raises(ParameterError, match="domain limit"):
+        erlang_c(2_000_000, math.nextafter(MAX_OFFERED_LOAD, math.inf))
