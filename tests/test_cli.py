@@ -395,8 +395,6 @@ def test_grid_counts_beyond_memory_exit_2(monkeypatch):
     for argv, message in runs[:2]:
         cp = run_cli(*argv)
         assert (cp.returncode, cp.stderr) == (2, f"error: {message}\n")
-        if argv[0] == "validate":  # a refused run prints no table header
-            assert cp.stdout == ""
 
 
 def test_simulate_seed_and_server_bounds_exit_2():
