@@ -173,6 +173,8 @@ def _cmd_threshold(args, p: ModelParams) -> int:
 
 
 def _cmd_scenario(args, p: ModelParams) -> int:
+    if args.json and args.out:
+        raise ParameterError("--json prints to stdout and cannot be combined with --out")
     ids = [s.strip().upper() for s in args.scenarios.split(",") if s.strip()]
     specs = [make_scenario(sid, alpha=args.alpha, theta_floor=args.theta_floor) for sid in ids]
     rows = compare_scenarios(specs, p)
@@ -230,13 +232,14 @@ def _cmd_regime_map(args, p: ModelParams) -> int:
     cells = regime_map(p, lam_grid, l_grid)
     _emit(args, p, *_record_table(RegimeCell, cells))
     if args.boundary_out:
+        # written before its warnings, so a file that cannot be written prints one error line
+        _emit(args, p, *_record_table(BoundaryPoint, points), args.boundary_out, "regime-map-boundary")
         for a, b in monotone_violations(points):
             print(
                 f"warning: boundary not nondecreasing between lambda={a.lam:g} "
                 f"(L={a.l_boundary:g}) and lambda={b.lam:g} (L={b.l_boundary:g})",
                 file=sys.stderr,
             )
-        _emit(args, p, *_record_table(BoundaryPoint, points), args.boundary_out, "regime-map-boundary")
     return 0
 
 

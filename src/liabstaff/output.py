@@ -5,7 +5,9 @@ no timestamps — repeated runs of a deterministic command must be
 byte-identical. A cell holding a comma, quote or line break is quoted as
 RFC 4180 does. Every JSON document, the CLI's --json output and the
 manifests alike, is written by to_json. Each output file gets a sidecar JSON
-manifest recording the run: its command, argv and parameters.
+manifest recording the run: its command, argv and parameters. A file that
+cannot be written raises ParameterError naming it, as an unreadable input
+does; files written before it are kept.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .errors import ParameterError
 from .params import Mode, ModelParams
 
 
@@ -57,10 +60,19 @@ def render_csv(header: list[str], rows: list[tuple]) -> str:
     return "".join(",".join(map(fmt, line)) + "\n" for line in [header, *rows])
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
-    path = Path(path)
-    path.write_text(render_csv(header, rows), newline="\n")
+def _write(path: Path, text: str) -> Path:
+    """Write text to path with LF line endings; a path that cannot be written,
+    such as one in a missing directory or a directory itself, raises
+    ParameterError naming it."""
+    try:
+        path.write_text(text, newline="\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
     return path
+
+
+def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
+    return _write(Path(path), render_csv(header, rows))
 
 
 def manifest_path(out_path: str | Path) -> Path:
@@ -85,6 +97,4 @@ def write_manifest(
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(out_path)],
     }
-    path = manifest_path(out_path)
-    path.write_text(to_json(payload) + "\n")
-    return path
+    return _write(manifest_path(out_path), to_json(payload) + "\n")

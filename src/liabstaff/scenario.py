@@ -9,15 +9,16 @@ S4  social welfare benchmark: social objective, mode and N free
 
 A constraint set picks the share interval each mode searches: a spec that
 lists its modes searches its own interval in each of them (S0 [0.5, 0.5] in
-Mode I, S4 [0, 0] in both, where the platform cost is the social cost), and
-any other spec searches the shares of its interval that induce each mode
-(S1-S3). The mode with the lower total wins, Mode A on a tie. ``_solve`` is
-the one place this is written; optimize_platform is its free spec and
-optimize_social is S4. A call gathers the intervals of all its specs per mode,
-reads theta_d at most once, and makes one call of the staffing kernel
-platform_opt._search per mode, so each mode's levels are walked once per
-call; nothing is kept across calls. Result objects are built only for the
-results that are returned.
+Mode I, S4 [0, 0] in both, where the platform cost is the social cost) and the
+empty interval _NOT_SEARCHED in any other, and a spec without listed modes
+searches the shares of its interval that induce each mode (S1-S3). The mode
+with the lower total wins, Mode A on a tie. ``_solve`` is the one place this
+is written; optimize_platform is its free spec and optimize_social is S4. A
+call reads theta_d at most once and makes one call of the staffing kernel
+platform_opt._search per mode over one interval per spec, so each mode's
+levels are walked once per call, and not at all when every interval of the
+mode is empty; nothing is kept across calls. Result objects are built only
+for the results that are returned.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ S0_THETA = 0.5
 # Lowest liability share that still induces independent mode; the regime-I
 # interval is open at the threshold, so it is closed at this offset.
 REGIME_I_EPS = 1e-6
+
+# The share interval of a mode a spec does not search: empty, so _search
+# returns None for it and walks no level on its account.
+_NOT_SEARCHED = (1.0, 0.0)
 
 
 @record
@@ -97,42 +102,36 @@ def make_scenario(
     raise ParameterError(f"unknown scenario {scenario_id!r}; valid: {', '.join(SCENARIO_IDS)}")
 
 
-def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple | None, tuple | None]:
-    """The share intervals the spec searches in Mode A and in Mode I, None
-    for a mode it does not search: its own interval in each listed mode, else
-    the shares of it that induce each mode at threshold theta_d, which is
-    read only when spec.modes is None."""
+def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple, tuple]:
+    """The share intervals the spec searches in Mode A and in Mode I: its own
+    interval in each listed mode and _NOT_SEARCHED in any other, else the
+    shares of it that induce each mode at threshold theta_d, which is read
+    only when spec.modes is None; either may be empty. Raises ParameterError
+    for a spec whose modes is None unless 0 <= theta_lo <= theta_hi <= 1."""
+    lo, hi = spec.theta_lo, spec.theta_hi
     if spec.modes is not None:
-        interval = (spec.theta_lo, spec.theta_hi)
-        return (interval if Mode.A in spec.modes else None, interval if Mode.I in spec.modes else None)
-    return (
-        (spec.theta_lo, min(spec.theta_hi, theta_d)),
-        (max(spec.theta_lo, theta_d + REGIME_I_EPS), spec.theta_hi),
-    )
+        return ((lo, hi) if Mode.A in spec.modes else _NOT_SEARCHED,
+                (lo, hi) if Mode.I in spec.modes else _NOT_SEARCHED)
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{lo!r}, {hi!r}]")
+    return (lo, min(hi, theta_d)), (max(lo, theta_d + REGIME_I_EPS), hi)
 
 
 def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, list[tuple]]:
     """theta_d (None when no spec reads it) and, per spec, (found_a, found_i,
-    mode): each mode's search tuple on plain floats, None when the mode is not
-    searched or its interval is empty, and the mode of the optimum: the one
-    whose search found the lower total, Mode A on a tie (and only on a tie),
-    or None when neither found a policy. One kernel call per mode searches
-    the intervals of every spec, and a mode none of them searches is not
-    walked. Raises ParameterError unless 0 <= theta_lo <= theta_hi <= 1 for
-    each spec whose modes is None, and, from _search, for a listed-mode spec
-    whose interval is neither empty nor within [0, 1]."""
-    free = [s for s in specs if s.modes is None]
-    for s in free:
-        if not 0.0 <= s.theta_lo <= s.theta_hi <= 1.0:
-            raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{s.theta_lo!r}, {s.theta_hi!r}]")
-    theta_d = _theta_d(p) if free else None
-    wanted = [_intervals(s, theta_d) for s in specs]
-    found_a = iter(_search(Mode.A, [a for a, _ in wanted if a is not None], p))
-    found_i = iter(_search(Mode.I, [i for _, i in wanted if i is not None], p))
+    mode): each mode's search tuple on plain floats, None when the spec's
+    interval in the mode is empty, _NOT_SEARCHED included, and the mode of the
+    optimum: the one whose search found the lower total, Mode A on a tie (and
+    only on a tie), or None when neither found a policy. One kernel call per
+    mode searches one interval per spec, and a mode whose intervals are all
+    empty is not walked. Raises ParameterError, from _intervals and before
+    any search, unless 0 <= theta_lo <= theta_hi <= 1 for each spec whose
+    modes is None, and, from _search, for a listed-mode spec whose interval
+    is neither empty nor within [0, 1]."""
+    theta_d = _theta_d(p) if any(s.modes is None for s in specs) else None
+    wanted_a, wanted_i = zip(*[_intervals(s, theta_d) for s in specs])
     solved = []
-    for a, i in wanted:
-        res_a = None if a is None else next(found_a)
-        res_i = None if i is None else next(found_i)
+    for res_a, res_i in zip(_search(Mode.A, wanted_a, p), _search(Mode.I, wanted_i, p)):
         if res_a is not None and (res_i is None or res_a[-1] <= res_i[-1]):
             mode = Mode.A
         else:
@@ -150,9 +149,9 @@ def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple) -> Scenari
             f"no feasible policy in [{spec.theta_lo:g}, {spec.theta_hi:g}] (threshold {theta_d:g})"
             if spec.modes is None else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
         )
-        return ScenarioResult(spec.id, False, None, None, None, reason=reason)
+        return ScenarioResult(spec.id, False, None, None, None, reason)
     policy, cost = _found_cost(mode, found_a if mode is Mode.A else found_i)
-    return ScenarioResult(spec.id, True, policy, cost, regime=mode if spec.modes is None else None)
+    return ScenarioResult(spec.id, True, policy, cost, mode if spec.modes is None else None)
 
 
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
@@ -207,15 +206,9 @@ def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[Scenari
     if not specs:
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
     theta_d, solved = _solve(specs, p)
-    last = {spec.id: (spec, solution) for spec, solution in zip(specs, solved)}
-    results = {sid: _result(spec, theta_d, solution) for sid, (spec, solution) in last.items()}
-    s1 = results.get("S1")
-    s1_total = s1.cost.total if s1 is not None and s1.feasible else None
-    rows = []
-    for sid in sorted(results):
-        res = results[sid]
-        pct = None
-        if s1_total is not None and res.feasible:
-            pct = 100.0 * (res.cost.total - s1_total) / s1_total
-        rows.append(ScenarioRow(result=res, pct_vs_s1=pct))
-    return rows
+    last = {spec.id: (spec, found) for spec, found in zip(specs, solved)}
+    results = [_result(spec, theta_d, found) for _, (spec, found) in sorted(last.items())]
+    s1_total = next((r.cost.total for r in results if r.id == "S1" and r.feasible), None)
+    if s1_total is None:
+        return [ScenarioRow(r, None) for r in results]
+    return [ScenarioRow(r, 100.0 * (r.cost.total - s1_total) / s1_total if r.feasible else None) for r in results]

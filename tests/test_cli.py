@@ -172,6 +172,36 @@ def test_scenario_csv(tmp_path: Path):
     assert payload["params"]["lam"] == 50.0
 
 
+def test_scenario_json_refuses_out(tmp_path: Path):
+    # --json prints to stdout, so an --out beside it would be dropped
+    cp = run_cli("scenario", "--json", "--out", str(tmp_path / "s.json"))
+    assert_usage_error(cp)
+    assert (cp.stdout, cp.stderr.count("\n")) == ("", 1)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _in_dir(directory: Path, argv: list[str]) -> list[str]:
+    """argv with each {tmp} standing for directory."""
+    return [arg.replace("{tmp}", str(directory)) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "q=0.8:0.9:3", "--out", "{tmp}/missing/x.csv"],
+    ["scenario", "--out", "{tmp}"],
+    ["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", "1000",
+     "--out", "{tmp}/missing/x.csv"],
+    ["regime-map", "--grid", "lambda=25:90:3", "--grid", "big_l=800:5000:3", "--out", "{tmp}/map.csv",
+     "--boundary-out", "{tmp}/missing/b.csv"],
+])
+def test_unwritable_output_path_exits_2(tmp_path: Path, argv):
+    cp = run_cli(*_in_dir(tmp_path, argv))
+    assert_usage_error(cp)
+    assert cp.stderr.startswith(f"error: cannot write {tmp_path}")
+    # a file written before the unwritable one is kept, with its manifest
+    kept = ["map.csv", "map.csv.manifest.json"] if argv[0] == "regime-map" else []
+    assert sorted(path.name for path in tmp_path.iterdir()) == kept
+
+
 def test_scenario_stdout_default():
     cp = run_cli("scenario", "--scenarios", "S1")
     assert cp.returncode == 0
@@ -873,21 +903,26 @@ def _grid(name: str, values=st.one_of(st.floats(0.0, 1e6), _ANY_FLOAT)):
     )
 
 
+# a table command's --out: absent, a writable file, a file in a missing
+# directory or an existing directory, {tmp} standing for a test directory
+_OUT = st.sampled_from([[], ["--out", "{tmp}/out.csv"], ["--out", "{tmp}/missing/out.csv"],
+                        ["--out", "{tmp}"]])
+
 _ARGV = st.one_of(
     st.builds(lambda lo, hi: ["solve", "--json", f"--theta-lo={lo!r}", f"--theta-hi={hi!r}"],
               _SHARE, _SHARE),
     st.just(["solve"]),
     st.sampled_from([["threshold"], ["threshold", "--json"]]),
-    st.builds(lambda a, t: ["scenario", f"--alpha={a!r}", f"--theta-floor={t!r}"],
-              _SHARE, _SHARE),
-    st.just(["scenario"]),
-    st.builds(lambda grid: ["sweep", "--grid", grid],
-              st.sampled_from([*SWEEPABLE, "mu_a"]).flatmap(_grid)),  # mu_a: refused
-    st.builds(lambda grid: ["welfare", "--grid", grid], _grid("big_l")),
-    st.builds(lambda lam, big_l: ["regime-map", "--grid", lam, "--grid", big_l],
-              _grid("lambda"), _grid("big_l")),
-    st.builds(lambda which, n: ["figure", "--which", which, "--npoints", str(n)],
-              st.sampled_from(cli.FIGURE_IDS), st.integers(0, 3)),
+    st.builds(lambda a, t, out: ["scenario", f"--alpha={a!r}", f"--theta-floor={t!r}", *out],
+              _SHARE, _SHARE, _OUT),
+    st.builds(lambda out: ["scenario", *out], _OUT),
+    st.builds(lambda grid, out: ["sweep", "--grid", grid, *out],
+              st.sampled_from([*SWEEPABLE, "mu_a"]).flatmap(_grid), _OUT),  # mu_a: refused
+    st.builds(lambda grid, out: ["welfare", "--grid", grid, *out], _grid("big_l"), _OUT),
+    st.builds(lambda lam, big_l, out: ["regime-map", "--grid", lam, "--grid", big_l, *out],
+              _grid("lambda"), _grid("big_l"), _OUT),
+    st.builds(lambda which, n, out: ["figure", "--which", which, "--npoints", str(n), *out],
+              st.sampled_from(cli.FIGURE_IDS), st.integers(0, 3), _OUT),
 )
 
 _CUSTOMERS = st.integers(-10, 2000)
@@ -952,7 +987,7 @@ def fuzz_config(tmp_path_factory) -> Path:
 def _assert_exit_code_contract(argv: list[str]) -> None:
     """Run argv in process: exit 0, 1 or 2, an error or usage line on a
     nonzero exit but for validate's failed comparison, and finite numbers on
-    success."""
+    success, in the --out file too."""
     cp = run_cli(*argv)
     assert cp.returncode in (0, 1, 2)
     if cp.returncode:
@@ -960,7 +995,8 @@ def _assert_exit_code_contract(argv: list[str]) -> None:
                 or ((argv[0], cp.returncode, cp.stderr) == ("validate", 1, "")
                     and "FAIL" in cp.stdout))
     else:
-        assert _non_finite_numbers(argv[0], cp.stdout + cp.stderr) == []
+        written = Path(argv[argv.index("--out") + 1]).read_text() if "--out" in argv else ""
+        assert _non_finite_numbers(argv[0], cp.stdout + cp.stderr + written) == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -968,7 +1004,7 @@ def _assert_exit_code_contract(argv: list[str]) -> None:
 @given(config=_configs(), argv=_ARGV)
 def test_exit_code_contract_under_fuzzed_configs(fuzz_config: Path, config, argv):
     fuzz_config.write_text("".join(f"{key} = {value!r}\n" for key, value in config.items()))
-    _assert_exit_code_contract([*argv, "--config", str(fuzz_config)])
+    _assert_exit_code_contract([*_in_dir(fuzz_config.parent, argv), "--config", str(fuzz_config)])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
