@@ -60,6 +60,9 @@ def _parse(argv: list[str]) -> tuple[argparse.Namespace, ModelParams | None]:
     $LIABSTAFF_CONFIG, else the baseline; None for a command without --config."""
     args = _parser().parse_args(argv)
     args.argv = argv
+    for dest in ("out", "boundary_out"):
+        if getattr(args, dest, None) == "":
+            raise ParameterError(f"--{dest.replace('_', '-')} needs a file path, got an empty one")
     if not hasattr(args, "config"):
         return args, None
     path = args.config or os.environ.get(CONFIG_ENV_VAR)

@@ -13,12 +13,12 @@ Mode I, S4 [0, 0] in both, where the platform cost is the social cost) and the
 empty interval _NOT_SEARCHED in any other, and a spec without listed modes
 searches the shares of its interval that induce each mode (S1-S3). The mode
 with the lower total wins, Mode A on a tie. ``_solve`` is the one place this
-is written; optimize_platform is its free spec and optimize_social is S4. A
+is written, and each spec's ScenarioResult is built in the loop that decides
+its mode; optimize_platform is its free spec and optimize_social is S4. A
 call reads theta_d at most once and makes one call of the staffing kernel
 platform_opt._search per mode over one interval per spec, so each mode's
 levels are walked once per call, and not at all when every interval of the
-mode is empty; nothing is kept across calls. Result objects are built only
-for the results that are returned.
+mode is empty; nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from .platform_opt import (
     CostBreakdown,
     PlatformSolution,
     Policy,
-    _found_cost,
+    RegimeResult,
     _regime_result,
     _search,
+    theta_unconstrained,
 )
 
 # Not called here; it stays importable from this module because the
@@ -117,48 +118,42 @@ def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple, tuple]
     return (lo, min(hi, theta_d)), (max(lo, theta_d + REGIME_I_EPS), hi)
 
 
-def _solve(specs: list[ScenarioSpec], p: ModelParams) -> tuple[float | None, list[tuple]]:
-    """theta_d (None when no spec reads it) and, per spec, (found_a, found_i,
-    mode): each mode's search tuple on plain floats, None when the spec's
-    interval in the mode is empty, _NOT_SEARCHED included, and the mode of the
-    optimum: the one whose search found the lower total, Mode A on a tie (and
-    only on a tie), or None when neither found a policy. One kernel call per
-    mode searches one interval per spec, and a mode whose intervals are all
-    empty is not walked. Raises ParameterError, from _intervals and before
-    any search, unless 0 <= theta_lo <= theta_hi <= 1 for each spec whose
-    modes is None, and, from _search, for a listed-mode spec whose interval
-    is neither empty nor within [0, 1]."""
+def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[ScenarioResult, tuple | None, tuple | None]]:
+    """Per spec, (result, found_a, found_i): each mode's search tuple on plain
+    floats, None when the spec's interval in the mode is empty, _NOT_SEARCHED
+    included, and the ScenarioResult built here from the one that found the
+    lower total, Mode A on a tie and only on a tie (a NaN total goes to Mode
+    I), or an infeasible one whose reason names the empty constraint set. One
+    kernel call per mode searches one interval per spec, and a mode whose
+    intervals are all empty is not walked. Raises ParameterError, from
+    _intervals and before any search, unless 0 <= theta_lo <= theta_hi <= 1
+    for each spec whose modes is None, and, from _search, for a listed-mode
+    spec whose interval is neither empty nor within [0, 1]."""
     theta_d = _theta_d(p) if any(s.modes is None for s in specs) else None
     wanted_a, wanted_i = zip(*[_intervals(s, theta_d) for s in specs])
+    mode_a, mode_i = Mode.A, Mode.I  # each read once: an Enum member lookup is slow
     solved = []
-    for res_a, res_i in zip(_search(Mode.A, wanted_a, p), _search(Mode.I, wanted_i, p)):
-        if res_a is not None and (res_i is None or res_a[-1] <= res_i[-1]):
-            mode = Mode.A
+    for spec, found_a, found_i in zip(specs, _search(mode_a, wanted_a, p), _search(mode_i, wanted_i, p)):
+        if found_a is not None and (found_i is None or found_a[-1] <= found_i[-1]):
+            mode, found = mode_a, found_a
+        elif found_i is not None:
+            mode, found = mode_i, found_i
         else:
-            mode = None if res_i is None else Mode.I
-        solved.append((res_a, res_i, mode))
-    return theta_d, solved
-
-
-def _result(spec: ScenarioSpec, theta_d: float | None, solved: tuple) -> ScenarioResult:
-    """The ScenarioResult of a solved spec; when it has no optimum, the reason
-    names the empty constraint set."""
-    found_a, found_i, mode = solved
-    if mode is None:
-        reason = (
-            f"no feasible policy in [{spec.theta_lo:g}, {spec.theta_hi:g}] (threshold {theta_d:g})"
-            if spec.modes is None else f"empty theta interval [{spec.theta_lo:g}, {spec.theta_hi:g}]"
-        )
-        return ScenarioResult(spec.id, False, None, None, None, reason)
-    policy, cost = _found_cost(mode, found_a if mode is Mode.A else found_i)
-    return ScenarioResult(spec.id, True, policy, cost, mode if spec.modes is None else None)
+            lo, hi = spec.theta_lo, spec.theta_hi
+            reason = (f"no feasible policy in [{lo:g}, {hi:g}] (threshold {theta_d:g})" if spec.modes is None
+                      else f"empty theta interval [{lo:g}, {hi:g}]")
+            solved.append((ScenarioResult(spec.id, False, None, None, None, reason), found_a, found_i))
+            continue
+        policy, cost = Policy(found[3], found[2], mode), CostBreakdown(*found[4:])
+        solved.append((ScenarioResult(spec.id, True, policy, cost, mode if spec.modes is None else None),
+                       found_a, found_i))
+    return solved
 
 
 def run_scenario(spec: ScenarioSpec, p: ModelParams) -> ScenarioResult:
     """Solve one scenario's constrained problem; an empty constraint set
     gives an infeasible result that names it."""
-    theta_d, (solved,) = _solve([spec], p)
-    return _result(spec, theta_d, solved)
+    return _solve([spec], p)[0][0]
 
 
 def optimize_platform(
@@ -170,13 +165,15 @@ def optimize_platform(
     [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
     Raises InfeasibleError when both intervals are empty. This is S1's path.
     """
-    spec = ScenarioSpec("", theta_lo, theta_hi)
-    theta_d, (solved,) = _solve([spec], p)
-    found_a, found_i, winner = solved
-    if winner is None:
-        raise InfeasibleError(_result(spec, theta_d, solved).reason)
-    res_a, res_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
-    return PlatformSolution(regime_a=res_a, regime_i=res_i, winner=res_a if winner is Mode.A else res_i)
+    ((result, found_a, found_i),) = _solve([ScenarioSpec("", theta_lo, theta_hi)], p)
+    if not result.feasible:
+        raise InfeasibleError(result.reason)
+    mode = result.regime
+    found = found_a if mode is Mode.A else found_i  # the winning search: (n_lo, n_hi, N*, ...)
+    win = RegimeResult(mode, True, result.policy, result.cost, theta_unconstrained(mode, found[2], p), found[:2])
+    if mode is Mode.A:
+        return PlatformSolution(win, _regime_result(Mode.I, found_i, p), win)
+    return PlatformSolution(_regime_result(Mode.A, found_a, p), win, win)
 
 
 def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
@@ -186,8 +183,8 @@ def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:
     cost is the social cost; the reported theta is therefore 0. Ties break
     toward Mode A, then toward smaller N. This is S4's path.
     """
-    _, ((found_a, found_i, mode),) = _solve([make_scenario("S4")], p)
-    return _found_cost(mode, found_a if mode is Mode.A else found_i)
+    result = _solve([make_scenario("S4")], p)[0][0]
+    return result.policy, result.cost
 
 
 @record
@@ -201,14 +198,14 @@ class ScenarioRow:
 def compare_scenarios(specs: list[ScenarioSpec], p: ModelParams) -> list[ScenarioRow]:
     """Run scenarios and tabulate totals relative to S1, ordered by id; of
     specs sharing an id, the last one's result is returned. Every spec is
-    solved, by one staffing kernel call per mode, and results are built only
-    for the specs returned."""
+    solved, by one staffing kernel call per mode, and gets its result where
+    its mode is decided."""
     if not specs:
         raise ParameterError(f"need at least one scenario; valid: {', '.join(SCENARIO_IDS)}")
-    theta_d, solved = _solve(specs, p)
-    last = {spec.id: (spec, found) for spec, found in zip(specs, solved)}
-    results = [_result(spec, theta_d, found) for _, (spec, found) in sorted(last.items())]
-    s1_total = next((r.cost.total for r in results if r.id == "S1" and r.feasible), None)
-    if s1_total is None:
+    last = {result.id: result for result, _, _ in _solve(specs, p)}
+    s1 = last.get("S1")
+    results = [last[sid] for sid in sorted(last)]
+    if s1 is None or not s1.feasible:
         return [ScenarioRow(r, None) for r in results]
+    s1_total = s1.cost.total
     return [ScenarioRow(r, 100.0 * (r.cost.total - s1_total) / s1_total if r.feasible else None) for r in results]

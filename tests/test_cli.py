@@ -202,6 +202,25 @@ def test_unwritable_output_path_exits_2(tmp_path: Path, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == kept
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sweep", "--grid", "q=0.8:0.9:2", "--out", ""], "--out"),
+    (["simulate", "--lambda", "50", "--mu", "12", "--n", "5", "--customers", "1000", "--out", ""], "--out"),
+    (["scenario", "--out", ""], "--out"),
+    (["regime-map", "--grid", "lambda=25:90:3", "--grid", "big_l=800:5000:3", "--boundary-out", ""],
+     "--boundary-out"),
+    (["regime-map", "--grid", "lambda=25:90:3", "--grid", "big_l=800:5000:3", "--out", "map.csv",
+      "--boundary-out", ""], "--boundary-out"),
+])
+def test_empty_output_path_exits_2(tmp_path: Path, monkeypatch, argv, option):
+    # an empty path is not "no path": the asked-for output would be dropped
+    monkeypatch.chdir(tmp_path)
+    cp = run_cli(*argv)
+    assert_usage_error(cp)
+    assert (cp.stdout, cp.stderr.count("\n")) == ("", 1)
+    assert cp.stderr.startswith(f"error: {option} ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scenario_stdout_default():
     cp = run_cli("scenario", "--scenarios", "S1")
     assert cp.returncode == 0

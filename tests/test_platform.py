@@ -211,6 +211,15 @@ def test_optimize_platform_matches_brute_force():
         assert sol.winner.best.n == bf_n
         assert abs(sol.winner.best.theta - bf_theta) <= 1.0 / 2000
         assert sol.winner.cost.total <= bf_total + 1e-9
+        # both regimes field by field, the winner's records included, and the
+        # winner is one of them
+        theta_d = threshold(p).theta_d
+        assert sol.regime_a == optimize_regime(Mode.A, 0.0, min(1.0, theta_d), p)
+        if theta_d + REGIME_I_EPS <= 1.0:
+            assert sol.regime_i == optimize_regime(Mode.I, theta_d + REGIME_I_EPS, 1.0, p)
+        else:
+            assert not sol.regime_i.feasible
+        assert sol.winner is (sol.regime_a if bf_mode is Mode.A else sol.regime_i)
         # the same staffing search at a forced mode and share, and at theta = 0
         res = run_scenario(s0, p)
         _, bf_n, bf_total = brute_force_regime(Mode.I, 0.5, 0.5, p)

@@ -288,6 +288,8 @@ def test_compare_rows_do_not_depend_on_spec_order():
         alpha, floor = rng.uniform(0.05, 0.95, size=2)
         specs = [make_scenario(sid, alpha=alpha, theta_floor=floor) for sid in SCENARIO_IDS] + extra
         rows = compare_scenarios(specs, p)
+        by_id = {spec.id: spec for spec in specs}
+        assert [row.result for row in rows] == [_per_level_result(by_id[sid], p) for sid in sorted(by_id)]
         for _ in range(3):
             assert compare_scenarios([specs[i] for i in rng.permutation(len(specs))], p) == rows
 
@@ -313,3 +315,10 @@ def test_mode_a_wins_a_tie_and_only_a_tie(monkeypatch, total_i, winner):
     monkeypatch.setattr(scenario, "_search", rigged)
     assert optimize_platform(BASELINE).winner.regime is winner
     assert optimize_social(BASELINE)[0].mode is winner
+    # the same rule on the compare_scenarios path the benchmark times, and
+    # on run_scenario
+    s1, s4 = compare_scenarios([make_scenario("S4"), make_scenario("S1")], BASELINE)
+    assert (s1.result.id, s1.result.regime, s1.result.policy.mode) == ("S1", winner, winner)
+    assert (s4.result.id, s4.result.policy.mode) == ("S4", winner)
+    assert run_scenario(make_scenario("S1"), BASELINE).policy.mode is winner
+    assert run_scenario(make_scenario("S4"), BASELINE).policy.mode is winner
