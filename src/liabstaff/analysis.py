@@ -72,13 +72,18 @@ class SweepRow:
     winner: Mode
 
 
-def _solve_cell(p: ModelParams, lam: float, big_l: float) -> RegimeCell:
+def _params_at(p: ModelParams, changes: dict[str, float]) -> ModelParams:
+    """Validated ``p`` with each outside name in ``changes`` ("lambda", ...) set."""
+    return validate(dataclasses.replace(p, **{FIELD_BY_NAME[k]: v for k, v in changes.items()}))
+
+
+def _solve_cell(p: ModelParams, changes: dict[str, float]) -> RegimeCell:
+    point = changes["lambda"], changes["big_l"]
     try:
-        sol = optimize_platform(validate(dataclasses.replace(p, lam=lam, big_l=big_l)))
-        win = sol.winner
-        return RegimeCell(lam, big_l, win.regime, win.best.theta, win.best.n, win.cost.total)
+        win = optimize_platform(_params_at(p, changes)).winner
+        return RegimeCell(*point, win.regime, win.best.theta, win.best.n, win.cost.total)
     except ValueError as exc:
-        return RegimeCell(lam, big_l, None, None, None, None, error=str(exc))
+        return RegimeCell(*point, None, None, None, None, error=str(exc))
 
 
 def regime_map(p: ModelParams, lambda_grid: list[float], l_grid: list[float]) -> list[RegimeCell]:
@@ -89,7 +94,7 @@ def regime_map(p: ModelParams, lambda_grid: list[float], l_grid: list[float]) ->
     """
     if not lambda_grid or not l_grid:
         raise ValueError("grids must be non-empty")
-    return [_solve_cell(p, lam, big_l) for lam in lambda_grid for big_l in l_grid]
+    return [_solve_cell(p, {"lambda": lam, "big_l": big_l}) for lam in lambda_grid for big_l in l_grid]
 
 
 # Loss severities scanned per lambda for winner changes before bisecting.
@@ -102,9 +107,8 @@ class BoundaryPoint:
     l_boundary: float
 
 
-def _winner_at(p: ModelParams, lam: float, big_l: float) -> Mode:
-    sol = optimize_platform(validate(dataclasses.replace(p, lam=lam, big_l=big_l)))
-    return sol.winner.regime
+def _winner_at(p: ModelParams, changes: dict[str, float]) -> Mode:
+    return optimize_platform(_params_at(p, changes)).winner.regime
 
 
 def regime_boundary(
@@ -122,14 +126,15 @@ def regime_boundary(
     pre-scan reads A, I, A gives two points. A lambda whose pre-scan winners
     are all equal contributes none. Bisection also stops once the bracket is
     two adjacent floats, so a tol below their spacing still ends. A tol that
-    is not a positive finite number raises ParameterError.
+    is not a positive finite number, or an invalid point, raises
+    ParameterError; regime_map records an invalid point in its cell instead.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
     points: list[BoundaryPoint] = []
     scan_l = linspace(l_lo, l_hi, BOUNDARY_PRESCAN)
     for lam in lambda_grid:
-        winners = [_winner_at(p, lam, big_l) for big_l in scan_l]
+        winners = [_winner_at(p, {"lambda": lam, "big_l": big_l}) for big_l in scan_l]
         for i in range(BOUNDARY_PRESCAN - 1):
             if winners[i] is winners[i + 1]:
                 continue
@@ -139,7 +144,7 @@ def regime_boundary(
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                if _winner_at(p, lam, mid) is w_lo:
+                if _winner_at(p, {"lambda": lam, "big_l": mid}) is w_lo:
                     lo = mid
                 else:
                     hi = mid
@@ -157,25 +162,16 @@ def monotone_violations(points: list[BoundaryPoint]) -> list[tuple[BoundaryPoint
 
 
 def sensitivity_sweep(p: ModelParams, name: str, grid: list[float]) -> list[SweepRow]:
-    """Re-optimize the platform at each value of one swept parameter."""
+    """Re-optimize the platform at each value of one swept parameter. An
+    invalid point raises ParameterError; regime_map records it in the cell."""
     if name not in SWEEPABLE:
         raise ParameterError(
             f"unknown sweep parameter {name!r}; valid: {', '.join(SWEEPABLE)}"
         )
     rows = []
     for value in grid:
-        sol = optimize_platform(validate(dataclasses.replace(p, **{FIELD_BY_NAME[name]: value})))
-        win = sol.winner
-        rows.append(
-            SweepRow(
-                param_name=name,
-                param_value=float(value),
-                theta_star=win.best.theta,
-                n_star=win.best.n,
-                total=win.cost.total,
-                winner=win.regime,
-            )
-        )
+        win = optimize_platform(_params_at(p, {name: value})).winner
+        rows.append(SweepRow(name, float(value), win.best.theta, win.best.n, win.cost.total, win.regime))
     return rows
 
 
@@ -185,11 +181,12 @@ def welfare_curve(
     """(L, platform-optimal total, social-optimal total, gap, gap % of social).
 
     The percentage uses the social total as denominator; the raw totals are
-    all present so any other ratio can be formed downstream.
+    all present so any other ratio can be formed downstream. An invalid point
+    raises ParameterError; regime_map records it in the cell instead.
     """
     out = []
     for big_l in l_grid:
-        pl = validate(dataclasses.replace(p, big_l=big_l))
+        pl = _params_at(p, {"big_l": big_l})
         s1 = optimize_platform(pl).winner.cost.total
         s4 = optimize_social(pl)[1].total
         gap = s1 - s4
@@ -257,7 +254,7 @@ def _figure_table(which: str, p: ModelParams, npoints: int, criterion: str) -> t
     if which == "fig4":
         rows = []
         for lam in linspace(25.0, 90.0, npoints):
-            pl = validate(dataclasses.replace(p, lam=lam))
+            pl = _params_at(p, {"lambda": lam})
             if criterion == "min-stable":
                 n_a = min_staffing(pl.lam, pl.mu_a)
                 n_i = min_staffing(pl.lam, pl.mu_i)

@@ -180,17 +180,14 @@ def _search(
     return found
 
 
-def _found_cost(m: Mode, found: tuple) -> tuple[Policy, CostBreakdown]:
-    """The policy and cost breakdown of a search's optimum, from its tuple."""
-    return Policy(found[3], found[2], m), CostBreakdown(*found[4:])
-
-
 def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult:
     """The RegimeResult of a search: infeasible for None."""
     if found is None:
         return RegimeResult(m, False, None, None, None, None)
-    n_lo, n_hi, n = found[:3]
-    return RegimeResult(m, True, *_found_cost(m, found), theta_unconstrained(m, n, p), (n_lo, n_hi))
+    n_lo, n_hi, n, theta = found[:4]
+    return RegimeResult(
+        m, True, Policy(theta, n, m), CostBreakdown(*found[4:]), theta_unconstrained(m, n, p), (n_lo, n_hi)
+    )
 
 
 def optimize_regime(

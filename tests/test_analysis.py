@@ -198,3 +198,13 @@ def test_figure_needs_one_point(npoints):
 def test_unknown_figure_rejected():
     with pytest.raises(ValueError, match="unknown figure"):
         figure_data("fig9", BASELINE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: regime_map(BASELINE, [], [1000.0]), "grids must be non-empty"),
+    (lambda: figure_data("fig4", BASELINE, 3, criterion="x"), "unknown staffing criterion 'x'"),
+], ids=["regime_map", "fig4"])
+def test_driver_refuses_a_bad_argument(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from liabstaff import BASELINE, SimConfig, analysis, cli, min_staffing, params, queue_metrics, simulate
 from liabstaff.analysis import SWEEPABLE, regime_map
-from liabstaff.output import fmt, render_csv
+from liabstaff.output import fmt, render_csv, to_json
 
 from oracles import random_valid_params
 from runners import run_cli, run_fresh
@@ -262,6 +262,15 @@ def test_sweep_bad_grid_exits_2():
         assert_usage_error(run_cli("sweep", "--grid", grid))
 
 
+@pytest.mark.parametrize("command, message", [
+    ("regime-map", "regime-map grids must be lambda=... or big_l=..., got 'q'"),
+    ("welfare", "welfare sweeps big_l only, got 'q'"),
+])
+def test_grid_of_another_parameter_exits_2(command, message):
+    cp = run_cli(command, "--grid", "q=0.8:0.9:2")
+    assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", f"error: {message}\n")
+
+
 REGIME_MAP_CSV = (
     "lambda,big_l,winner,theta_star,n_star,total,error\n"
     "40,1000,A,0.16,5,5278.00078401,\n"
@@ -312,6 +321,25 @@ def test_regime_map_and_boundary(tmp_path: Path):
         assert sorted(tmp_path.iterdir()) == sorted([out, boundary, *manifests])
 
 
+def test_regime_map_warns_of_a_decreasing_boundary(tmp_path: Path):
+    # integer staffing makes L*(lambda) a sawtooth: between these two lambdas
+    # the bisected boundary falls, and the run says so but still succeeds
+    out, boundary = tmp_path / "map.csv", tmp_path / "boundary.csv"
+    cp = run_cli(
+        "regime-map",
+        "--grid", "lambda=27.7083333333:30.4166666667:2",
+        "--grid", "big_l=2000:3500:2",
+        "--out", str(out),
+        "--boundary-out", str(boundary),
+    )
+    assert cp.returncode == 0
+    assert out.is_file() and boundary.is_file()
+    assert cp.stderr == (
+        "warning: boundary not nondecreasing between lambda=27.7083 (L=2815.69) "
+        "and lambda=30.4167 (L=2734.89)\n"
+    )
+
+
 def test_regime_map_error_cell_is_quoted():
     # the offered-load error holds a comma: quoted, the row keeps 7 fields
     cp = run_cli("regime-map", "--grid", "lambda=1e7:1e7:1", "--grid", "big_l=1000:1000:1")
@@ -326,6 +354,11 @@ def test_regime_map_error_cell_is_quoted():
     text = render_csv(["a", "b"], [(cells[0][0], cells[0][1]), ("plain", 1.5)])
     assert text.startswith('a,b\n"say ""hi"", then","one\r\ntwo\nthree"\nplain,1.5\n')
     assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b"], *cells]
+
+
+def test_to_json_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        to_json(object())
 
 
 def test_figure_command(tmp_path: Path):

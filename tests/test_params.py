@@ -194,3 +194,14 @@ def test_config_invalid_ordering_rejected():
         parse_config("q = 0.97")
     with pytest.raises(ParameterError, match="lambda must be finite"):
         parse_config("lambda = inf")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lambda 50", "line 1: expected 'key = value', got 'lambda 50'"),
+    ("lambda = 50\nlambda = 60", "line 2: duplicate key 'lambda'"),
+    ("h = 1.0", "h must be below 1"),
+])
+def test_config_refusal_message(text, message):
+    with pytest.raises(ParameterError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message

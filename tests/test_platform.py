@@ -14,6 +14,7 @@ from liabstaff import (
     ParameterError,
     UnstableError,
     cost_breakdown,
+    erlang_c,
     make_scenario,
     min_staffing,
     mode_attrs,
@@ -107,6 +108,15 @@ def test_theta_optimal_clamping():
     assert theta_optimal(Mode.I, 10, 0.601, 1.0, BASELINE) == pytest.approx(0.601)
     with pytest.raises(InfeasibleError):
         theta_optimal(Mode.A, 5, 0.7, 0.3, BASELINE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: erlang_c(0, 1.0), lambda: theta_optimal(Mode.A, 0, 0.0, 1.0, BASELINE),
+], ids=["erlang_c", "theta_optimal"])
+def test_zero_servers_refused(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "n must be at least 1"
 
 
 def test_theta_optimal_accepts_a_point_interval_and_refuses_an_empty_one():
