@@ -14,7 +14,7 @@ import sys
 from ._record import record
 from .errors import ParameterError
 from .params import FIELD_BY_NAME, Mode, ModelParams, validate
-from .physician import physician_utility, threshold
+from .physician import _indifference_share, physician_utility, threshold
 from .platform_opt import optimize_regime
 from .queueing import erlang_c, min_staffing
 from .scenario import ScenarioSpec, _intervals, optimize_platform, optimize_social
@@ -244,13 +244,13 @@ def _figure_table(which: str, p: ModelParams, npoints: int, criterion: str) -> t
         ]
         return ["theta", "utility_a", "utility_i"], rows
     if which == "fig3a":
-        l_grid = linspace(800.0, 5000.0, npoints)
-        rows = [(big_l, threshold(dataclasses.replace(p, big_l=big_l)).theta_d) for big_l in l_grid]
-        return ["big_l", "theta_d"], rows
+        delta_k, gap = p.k_i - p.k_a, p.h - p.q
+        return ["big_l", "theta_d"], [(big_l, _indifference_share(delta_k, big_l, gap))
+                                      for big_l in linspace(800.0, 5000.0, npoints)]
     if which == "fig3b":
-        dk_grid = linspace(20.0, 150.0, npoints)
-        rows = [(dk, threshold(dataclasses.replace(p, k_i=p.k_a + dk)).theta_d) for dk in dk_grid]
-        return ["delta_k", "theta_d"], rows
+        big_l, gap = p.big_l, p.h - p.q
+        return ["delta_k", "theta_d"], [(dk, _indifference_share(dk, big_l, gap))
+                                        for dk in linspace(20.0, 150.0, npoints)]
     if which == "fig4":
         rows = []
         for lam in linspace(25.0, 90.0, npoints):

@@ -29,17 +29,22 @@ def physician_utility(m: Mode, theta: float, p: ModelParams) -> float:
     return p.w - disutility - theta * p.big_l * err_prob
 
 
+def _indifference_share(delta_k: float, big_l: float, gap: float) -> float:
+    """The indifference share delta_k / (L gap) at disutility gap
+    delta_k = k_i - k_a, loss severity L and accuracy gap h - q."""
+    return delta_k / (big_l * gap)
+
+
 def _theta_d(p: ModelParams) -> float:
-    """The indifference share (k_i - k_a) / (L (h - q)), without the
-    sensitivities of threshold()."""
-    return (p.k_i - p.k_a) / (p.big_l * (p.h - p.q))
+    """The indifference share of p, without the sensitivities of threshold()."""
+    return _indifference_share(p.k_i - p.k_a, p.big_l, p.h - p.q)
 
 
 def threshold(p: ModelParams) -> ThresholdReport:
     """Liability share at which the two modes yield equal utility."""
     delta_k = p.k_i - p.k_a
     gap = p.h - p.q
-    theta_d = _theta_d(p)
+    theta_d = _indifference_share(delta_k, p.big_l, gap)
     slope = delta_k / (p.big_l * gap * gap)
     return ThresholdReport(
         theta_d=theta_d,

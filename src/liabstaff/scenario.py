@@ -27,15 +27,7 @@ from ._record import record
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
 from .physician import _theta_d
-from .platform_opt import (
-    CostBreakdown,
-    PlatformSolution,
-    Policy,
-    RegimeResult,
-    _regime_result,
-    _search,
-    theta_unconstrained,
-)
+from .platform_opt import CostBreakdown, PlatformSolution, Policy, _regime_result, _search
 
 # Not called here; it stays importable from this module because the
 # benchmark's tracer wraps liabstaff.scenario.cost_breakdown.
@@ -168,12 +160,8 @@ def optimize_platform(
     ((result, found_a, found_i),) = _solve([ScenarioSpec("", theta_lo, theta_hi)], p)
     if not result.feasible:
         raise InfeasibleError(result.reason)
-    mode = result.regime
-    found = found_a if mode is Mode.A else found_i  # the winning search: (n_lo, n_hi, N*, ...)
-    win = RegimeResult(mode, True, result.policy, result.cost, theta_unconstrained(mode, found[2], p), found[:2])
-    if mode is Mode.A:
-        return PlatformSolution(win, _regime_result(Mode.I, found_i, p), win)
-    return PlatformSolution(_regime_result(Mode.A, found_a, p), win, win)
+    regime_a, regime_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
+    return PlatformSolution(regime_a, regime_i, regime_a if result.regime is Mode.A else regime_i)
 
 
 def optimize_social(p: ModelParams) -> tuple[Policy, CostBreakdown]:

@@ -160,6 +160,14 @@ def test_fig3b_linear_in_disutility_gap():
         assert theta_d == pytest.approx(dk / (2000.0 * 0.05), abs=1e-12)
 
 
+def test_fig3b_takes_theta_d_from_the_disutility_gap():
+    # at k_a = 5e29, a valid set, k_a + delta_k rounds back to k_a, so a
+    # curve formed from k_i - k_a would read 0
+    p = validate(dataclasses.replace(BASELINE, k_a=5e29, k_i=1e30))
+    header, rows = figure_data("fig3b", p, npoints=3)
+    assert rows == [(dk, dk / (p.big_l * (p.h - p.q))) for dk in (20.0, 85.0, 150.0)]
+
+
 def test_fig4_staffing_criteria():
     # lambda = 25, 30, ..., 90
     header, rows = figure_data("fig4", BASELINE, npoints=14, criterion="min-stable")

@@ -407,6 +407,20 @@ def test_simulate_checks_offered_load_before_simulating(monkeypatch):
     )
 
 
+def test_simulate_above_the_limit_checks_stability_first(monkeypatch):
+    # min_staffing's servers meet the domain limit (exit 2); fewer servers
+    # are unstable (exit 1), since that check comes first
+    monkeypatch.setattr(cli, "simulate", lambda cfg: pytest.fail("simulate ran"))
+    cp = run_cli("simulate", "--lambda", "1e10", "--mu", "1", "--n", str(min_staffing(1e10, 1.0)),
+                 "--customers", "100")
+    assert (cp.returncode, cp.stdout, cp.stderr) == (
+        2, "", "error: offered load 1e+10 exceeds the domain limit 1e+06\n"
+    )
+    cp = run_cli("simulate", "--lambda", "1e10", "--mu", "1", "--n", "5", "--customers", "100")
+    assert cp.returncode == 1
+    assert cp.stderr.endswith("need at least 10000000002\n")
+
+
 def test_simulate_unstable_exits_1():
     cp = run_cli("simulate", "--lambda", "50", "--mu", "6", "--n", "8",
                  "--customers", "1000")

@@ -88,6 +88,27 @@ def test_utilization_above_ceiling_starts_at_next_level():
         erlang_c(1, a)
 
 
+NEAR_INTEGER_LOADS = [
+    *(k * (1.0 + 1e-9) for k in (1, 2, 7, 10, 999, 10**5, 10**6 - 1)),
+    *(k * (1.0 - 1e-9) for k in (1, 2, 7, 10, 999, 10**5, 10**6)),
+    1.0 - 1.5e-9, _RHO_CEILING, 1.0 - 0.5e-9,
+]
+
+
+@pytest.mark.parametrize("a", NEAR_INTEGER_LOADS)
+def test_level_stream_starts_at_min_staffing(a):
+    # the first level is the smallest whose utilization is at most the
+    # ceiling, and it carries the full walk's Erlang C
+    first, delay_prob = next(_delay_probs(a))
+    assert first == min_staffing(a, 1.0)
+    assert a / first <= _RHO_CEILING
+    if first > 1:
+        assert a / (first - 1) > _RHO_CEILING
+        with pytest.raises(UnstableError, match=f"need at least {first}$"):
+            erlang_c(first - 1, a)
+    assert repr(delay_prob) == repr(_erlang_c_full_walk(first, a))
+
+
 def test_queue_metrics_examples():
     m = queue_metrics(50, 12, 5)
     assert m.w_q == pytest.approx(0.0620, abs=5e-5)
@@ -140,3 +161,11 @@ def test_offered_load_above_domain_limit_rejected():
     assert 0.0 < erlang_c(1_000_001, MAX_OFFERED_LOAD) < 1.0
     with pytest.raises(ParameterError, match="domain limit"):
         erlang_c(2_000_000, math.nextafter(MAX_OFFERED_LOAD, math.inf))
+
+
+def test_below_min_staffing_is_unstable_above_the_limit_too():
+    # the stability check comes first, the domain limit second
+    with pytest.raises(UnstableError, match="need at least 2000001$"):
+        erlang_c(5, 2e6)
+    with pytest.raises(ParameterError, match="^offered load 1e\\+10 exceeds the domain limit 1e\\+06$"):
+        erlang_c(min_staffing(1e10, 1.0), 1e10)
