@@ -88,9 +88,10 @@ def test_utilization_above_ceiling_starts_at_next_level():
         erlang_c(1, a)
 
 
+# k (1 +- 1e-9) up to the domain limit, and the loads of the two tests above
 NEAR_INTEGER_LOADS = [
-    *(k * (1.0 + 1e-9) for k in (1, 2, 7, 10, 999, 10**5, 10**6 - 1)),
-    *(k * (1.0 - 1e-9) for k in (1, 2, 7, 10, 999, 10**5, 10**6)),
+    *(k * (1.0 + 1e-9) for k in (1, 2, 7, 10, 100, 999, 1000, 10**4, 10**5, 10**6 - 1)),
+    *(k * (1.0 - 1e-9) for k in (1, 2, 7, 10, 100, 999, 1000, 10**4, 10**5, 10**6)),
     1.0 - 1.5e-9, _RHO_CEILING, 1.0 - 0.5e-9,
 ]
 
