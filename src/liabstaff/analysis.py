@@ -14,7 +14,7 @@ import sys
 from ._record import record
 from .errors import ParameterError
 from .params import FIELD_BY_NAME, Mode, ModelParams, validate
-from .physician import _indifference_share, physician_utility, threshold
+from .physician import _indifference_share, _theta_d, physician_utility
 from .platform_opt import optimize_regime
 from .queueing import erlang_c, min_staffing
 from .scenario import ScenarioSpec, _intervals, optimize_platform, optimize_social
@@ -259,7 +259,7 @@ def _figure_table(which: str, p: ModelParams, npoints: int, criterion: str) -> t
                 n_a = min_staffing(pl.lam, pl.mu_a)
                 n_i = min_staffing(pl.lam, pl.mu_i)
             elif criterion == "cost-optimal":
-                (a_lo, a_hi), (i_lo, i_hi) = _intervals(ScenarioSpec(""), threshold(pl).theta_d)
+                (a_lo, a_hi), (i_lo, i_hi) = _intervals(ScenarioSpec(""), _theta_d(pl))
                 n_a = optimize_regime(Mode.A, a_lo, a_hi, pl).best.n
                 n_i = optimize_regime(Mode.I, min(i_lo, 1.0), i_hi, pl).best.n
             else:

@@ -31,7 +31,7 @@ from .analysis import (
 from .errors import InfeasibleError, ParameterError, UnstableError
 from .output import render_csv, to_json, write_csv, write_manifest
 from .params import BASELINE, FIELD_BY_NAME, ModelParams, _read, load_params
-from .physician import threshold
+from .physician import _theta_d, threshold
 from .platform_opt import CostBreakdown, RegimeResult
 from .queueing import queue_metrics
 from .scenario import (
@@ -126,21 +126,21 @@ def _regime_summary(label: str, res: RegimeResult, thousands: bool) -> list[str]
 
 def _cmd_solve(args, p: ModelParams) -> int:
     sol = optimize_platform(p, args.theta_lo, args.theta_hi)
-    rep = threshold(p)
+    theta_d = _theta_d(p)
     win, lose = sol.winner, (sol.regime_i if sol.winner is sol.regime_a else sol.regime_a)
     if args.json:
-        print(to_json(_solution_dict(sol, rep)))
+        print(to_json(_solution_dict(sol, theta_d)))
         return 0
     print(f"winner: Regime {win.regime.value}, theta={win.best.theta:.6g}, N={win.best.n}")
     for line in _regime_summary(f"Regime {win.regime.value} (winner)", win, args.thousands):
         print(line)
     for line in _regime_summary(f"Regime {lose.regime.value} (runner-up)", lose, args.thousands):
         print(line)
-    print(f"physician threshold theta_d={rep.theta_d:.6g}")
+    print(f"physician threshold theta_d={theta_d:.6g}")
     return 0
 
 
-def _solution_dict(sol, rep) -> dict:
+def _solution_dict(sol, theta_d: float) -> dict:
     def reg(r: RegimeResult) -> dict:
         if not r.feasible:
             return {"regime": r.regime, "feasible": False}
@@ -158,7 +158,7 @@ def _solution_dict(sol, rep) -> dict:
         "winner": sol.winner.regime,
         "regime_a": reg(sol.regime_a),
         "regime_i": reg(sol.regime_i),
-        "theta_d": rep.theta_d,
+        "theta_d": theta_d,
     }
 
 

@@ -36,7 +36,7 @@ def _indifference_share(delta_k: float, big_l: float, gap: float) -> float:
 
 
 def _theta_d(p: ModelParams) -> float:
-    """The indifference share of p, without the sensitivities of threshold()."""
+    """The indifference share of p, without the sensitivities threshold adds."""
     return _indifference_share(p.k_i - p.k_a, p.big_l, p.h - p.q)
 
 

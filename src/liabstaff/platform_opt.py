@@ -9,10 +9,10 @@ unconstrained stationary point followed by a finite staffing enumeration.
 Every optimum is found by the one staffing kernel, ``_search``, which runs on
 plain floats: given a mode and a list of share intervals, it walks the mode's
 Erlang levels once and returns one search tuple per interval, which carries
-the optimum's staffing, share and four cost terms. It is also the one place
-a share interval is checked. ``optimize_regime`` calls it on one interval and
-wraps its tuple into Policy, CostBreakdown and RegimeResult without pricing
-the optimum again; ``_cost`` prices the fixed policies of cost_breakdown,
+the optimum's staffing, share, stationary point and cost terms. It is also
+the one place a share interval is checked. ``optimize_regime`` calls it on
+one interval and builds Policy, CostBreakdown and RegimeResult from its
+tuple alone; ``_cost`` prices the fixed policies of cost_breakdown,
 social_cost and the simulator. Which intervals each mode searches, and which
 mode wins, is decided in one place, the scenario layer, which also holds the
 platform and social optimum. Nothing is kept across calls.
@@ -103,12 +103,13 @@ def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> floa
 
 def _search(
     m: Mode, intervals: list[tuple[float, float]], p: ModelParams
-) -> list[tuple[int, int, int, float, float, float, float, float, float] | None]:
+) -> list[tuple[int, int, int, float, float, float, float, float, float, float] | None]:
     """The staffing searches of one mode, one per share interval
-    [theta_lo, theta_hi] in intervals, on plain floats: for each, in order,
-    (n_lo, n_hi, N*, theta*, risk, congestion, staffing, compliance, total),
-    the last five the cost terms at N*, or None when the interval is empty
-    (theta_lo > theta_hi). Raises ParameterError for an interval that is
+    [theta_lo, theta_hi] in intervals: for each, in order, the 10-field
+    search tuple (n_lo, n_hi, N*, theta*, share, risk, congestion, staffing,
+    compliance, total) of plain floats, share the stationary point theta* is
+    clamped from and the last five the cost terms at N*, or None for an empty
+    interval (theta_lo > theta_hi). Raises ParameterError for an interval
     neither empty nor within [0, 1], one with a NaN bound included.
 
     Each search enumerates N upward from the smallest level erlang_c accepts,
@@ -136,13 +137,13 @@ def _search(
     and shares are formed as _cost and theta_optimal form them, the min/max
     clamp written as the comparisons those builtins make, so every tuple is
     bit-identical to one built from those functions: its cost terms are the
-    CostBreakdown that _cost returns at N*. A level's share, risk, staffing
-    and compliance serve both its bound and its total.
+    CostBreakdown that _cost returns at N*, its share theta_unconstrained(N*)
+    bit for bit, NaN included. A level's theta, risk, staffing and compliance
+    serve both its bound and its total.
     """
     mu, err_prob, _ = mode_attrs(m, p)
     lam, big_l, c_w, c_n, kappa = p.lam, p.big_l, p.c_w, p.c_n, p.kappa
     t_free = 1.0 / mu
-    # theta_unconstrained(N) is stationary / (two_kappa * N)
     stationary, two_kappa, rate_c_w = lam * big_l * err_prob, 2.0 * kappa, lam * c_w
     free_congestion = rate_c_w * t_free
     levels = times = n_lo = None
@@ -161,8 +162,8 @@ def _search(
             times = [delay_prob / (n_lo * mu - lam) + t_free]
         n, best = n_lo, None
         while True:
-            theta = stationary / (two_kappa * n)
-            theta = theta_lo if theta_lo > theta else theta
+            share = stationary / (two_kappa * n)
+            theta = theta_lo if theta_lo > share else share
             theta = theta_hi if theta_hi < theta else theta
             risk = lam * (1.0 - theta) * big_l * err_prob
             staffing, compliance = c_n * n, kappa * theta * theta * n
@@ -174,20 +175,19 @@ def _search(
             congestion = rate_c_w * times[k]
             total = risk + congestion + staffing + compliance
             if best is None or total < best_total:
-                best, best_total = (n, theta, risk, congestion, staffing, compliance, total), total
+                best, best_total = (n, theta, share, risk, congestion, staffing, compliance, total), total
             n += 1
         found.append((n_lo, n - 1, *best))
     return found
 
 
-def _regime_result(m: Mode, found: tuple | None, p: ModelParams) -> RegimeResult:
-    """The RegimeResult of a search: infeasible for None."""
+def _regime_result(m: Mode, found: tuple | None) -> RegimeResult:
+    """The RegimeResult of mode m read from a 10-field _search tuple alone, its
+    theta_unconstrained the tuple's share; infeasible for None."""
     if found is None:
         return RegimeResult(m, False, None, None, None, None)
-    n_lo, n_hi, n, theta = found[:4]
-    return RegimeResult(
-        m, True, Policy(theta, n, m), CostBreakdown(*found[4:]), theta_unconstrained(m, n, p), (n_lo, n_hi)
-    )
+    n_lo, n_hi, n, theta, share = found[:5]
+    return RegimeResult(m, True, Policy(theta, n, m), CostBreakdown(*found[5:]), share, (n_lo, n_hi))
 
 
 def optimize_regime(
@@ -198,7 +198,7 @@ def optimize_regime(
     and RegimeResult built once, for the winning level. An empty interval
     (theta_lo > theta_hi) gives an infeasible result; one that is neither
     empty nor within [0, 1] raises ParameterError."""
-    return _regime_result(regime, _search(regime, [(theta_lo, theta_hi)], p)[0], p)
+    return _regime_result(regime, _search(regime, [(theta_lo, theta_hi)], p)[0])
 
 
 def social_cost(n: int, m: Mode, p: ModelParams) -> CostBreakdown:

@@ -136,7 +136,7 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[ScenarioResu
                       else f"empty theta interval [{lo:g}, {hi:g}]")
             solved.append((ScenarioResult(spec.id, False, None, None, None, reason), found_a, found_i))
             continue
-        policy, cost = Policy(found[3], found[2], mode), CostBreakdown(*found[4:])
+        policy, cost = Policy(found[3], found[2], mode), CostBreakdown(*found[5:])
         solved.append((ScenarioResult(spec.id, True, policy, cost, mode if spec.modes is None else None),
                        found_a, found_i))
     return solved
@@ -160,7 +160,7 @@ def optimize_platform(
     ((result, found_a, found_i),) = _solve([ScenarioSpec("", theta_lo, theta_hi)], p)
     if not result.feasible:
         raise InfeasibleError(result.reason)
-    regime_a, regime_i = _regime_result(Mode.A, found_a, p), _regime_result(Mode.I, found_i, p)
+    regime_a, regime_i = _regime_result(Mode.A, found_a), _regime_result(Mode.I, found_i)
     return PlatformSolution(regime_a, regime_i, regime_a if result.regime is Mode.A else regime_i)
 
 

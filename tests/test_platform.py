@@ -348,7 +348,7 @@ def test_kernel_entries_equal_one_interval_searches(seed, data):
             # repr tells every float apart bit for bit, -0.0 from 0.0 too
             assert repr(res) == repr(_search(m, [(lo, hi)], p)[0])
             assert (res is None) == (lo > hi)
-            assert _regime_result(m, res, p) == optimize_regime_per_level(m, lo, hi, p)
+            assert _regime_result(m, res) == optimize_regime_per_level(m, lo, hi, p)
         shuffled = _search(m, [intervals[i] for i in order], p)
         assert [repr(res) for res in shuffled] == [repr(found[i]) for i in order]
 
@@ -356,11 +356,27 @@ def test_kernel_entries_equal_one_interval_searches(seed, data):
 def test_large_offered_load_solves_without_a_staffing_cap():
     # regime I's offered load, 16667, lies above the 10000 servers that once
     # capped the search and made this call raise InfeasibleError
-    sol = optimize_platform(dataclasses.replace(BASELINE, lam=100000.0))
+    p = dataclasses.replace(BASELINE, lam=100000.0)
+    sol = optimize_platform(p)
     assert sol.winner.regime is Mode.A
     assert sol.winner.best.n == 8372
     assert sol.regime_i.feasible
     assert sol.regime_i.n_searched[0] == 16667
+    # the share the search carries is theta_unconstrained at N*, bit for bit
+    for r in (sol.regime_a, sol.regime_i):
+        assert repr(r.theta_unconstrained) == repr(theta_unconstrained(r.regime, r.best.n, p))
+
+
+def test_carried_share_is_theta_unconstrained_when_it_is_nan():
+    # an unvalidated set whose stationary point is inf / inf: theta* and
+    # every total are NaN, the first level stands, and the carried share is
+    # the NaN that theta_unconstrained returns
+    p = dataclasses.replace(BASELINE, big_l=math.inf, kappa=math.inf)
+    for m in (Mode.A, Mode.I):
+        r = optimize_regime(m, 0.0, 1.0, p)
+        assert math.isnan(r.theta_unconstrained) and math.isnan(r.best.theta)
+        assert r.n_searched == (r.best.n, r.best.n)
+        assert repr(r.theta_unconstrained) == repr(theta_unconstrained(m, r.best.n, p))
 
 
 def test_search_ends_where_every_level_costs_the_same():
@@ -377,8 +393,8 @@ def test_search_gives_a_tie_to_the_smaller_n(monkeypatch):
     # both levels total 4.5 with no risk and no compliance at theta = 0
     monkeypatch.setattr(platform_opt, "_delay_probs", lambda a: iter([(2, 1.5), (3, 1.0), (4, 0.0)]))
     p = ModelParams(lam=1.0, mu_a=1.0, mu_i=0.5, big_l=0.0, c_w=1.0, c_n=1.0, kappa=1.0)
-    # (n_lo, n_hi, N*, theta*, risk, congestion, staffing, compliance, total)
-    assert _search(Mode.A, [(0.0, 0.0)], p) == [(2, 3, 2, 0.0, 0.0, 2.5, 2.0, 0.0, 4.5)]
+    # (n_lo, n_hi, N*, theta*, share, risk, congestion, staffing, compliance, total)
+    assert _search(Mode.A, [(0.0, 0.0)], p) == [(2, 3, 2, 0.0, 0.0, 0.0, 2.5, 2.0, 0.0, 4.5)]
 
 
 def test_offered_load_above_domain_limit_rejected():
