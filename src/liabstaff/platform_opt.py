@@ -101,6 +101,10 @@ def theta_optimal(m: Mode, n: int, lo: float, hi: float, p: ModelParams) -> floa
     return min(max(p.lam * p.big_l * err_prob / (2.0 * p.kappa * n), lo), hi)
 
 
+# The positions of a _search tuple's fields, which _search's docstring describes.
+_RANGE, _N, _THETA, _SHARE, _COSTS, _TOTAL = slice(0, 2), 2, 3, 4, slice(5, 10), 9
+
+
 def _search(
     m: Mode, intervals: list[tuple[float, float]], p: ModelParams
 ) -> list[tuple[int, int, int, float, float, float, float, float, float, float] | None]:
@@ -109,8 +113,9 @@ def _search(
     search tuple (n_lo, n_hi, N*, theta*, share, risk, congestion, staffing,
     compliance, total) of plain floats, share the stationary point theta* is
     clamped from and the last five the cost terms at N*, or None for an empty
-    interval (theta_lo > theta_hi). Raises ParameterError for an interval
-    neither empty nor within [0, 1], one with a NaN bound included.
+    interval (theta_lo > theta_hi), read only through _RANGE (n_lo, n_hi), _N,
+    _THETA, _SHARE, _COSTS (the cost terms) and _TOTAL. Raises ParameterError
+    for an interval neither empty nor within [0, 1], a NaN bound included.
 
     Each search enumerates N upward from the smallest level erlang_c accepts,
     with theta at theta_optimal(N), and stops after level N once the bound
@@ -186,8 +191,8 @@ def _regime_result(m: Mode, found: tuple | None) -> RegimeResult:
     theta_unconstrained the tuple's share; infeasible for None."""
     if found is None:
         return RegimeResult(m, False, None, None, None, None)
-    n_lo, n_hi, n, theta, share = found[:5]
-    return RegimeResult(m, True, Policy(theta, n, m), CostBreakdown(*found[5:]), share, (n_lo, n_hi))
+    return RegimeResult(m, True, Policy(found[_THETA], found[_N], m), CostBreakdown(*found[_COSTS]),
+                        found[_SHARE], found[_RANGE])
 
 
 def optimize_regime(

@@ -27,7 +27,7 @@ from ._record import record
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
 from .physician import _theta_d
-from .platform_opt import CostBreakdown, PlatformSolution, Policy, _regime_result, _search
+from .platform_opt import _COSTS, _N, _THETA, _TOTAL, CostBreakdown, PlatformSolution, Policy, _regime_result, _search
 
 # Not called here; it stays importable from this module because the
 # benchmark's tracer wraps liabstaff.scenario.cost_breakdown.
@@ -126,7 +126,7 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[ScenarioResu
     mode_a, mode_i = Mode.A, Mode.I  # each read once: an Enum member lookup is slow
     solved = []
     for spec, found_a, found_i in zip(specs, _search(mode_a, wanted_a, p), _search(mode_i, wanted_i, p)):
-        if found_a is not None and (found_i is None or found_a[-1] <= found_i[-1]):
+        if found_a is not None and (found_i is None or found_a[_TOTAL] <= found_i[_TOTAL]):
             mode, found = mode_a, found_a
         elif found_i is not None:
             mode, found = mode_i, found_i
@@ -136,7 +136,7 @@ def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[ScenarioResu
                       else f"empty theta interval [{lo:g}, {hi:g}]")
             solved.append((ScenarioResult(spec.id, False, None, None, None, reason), found_a, found_i))
             continue
-        policy, cost = Policy(found[3], found[2], mode), CostBreakdown(*found[5:])
+        policy, cost = Policy(found[_THETA], found[_N], mode), CostBreakdown(*found[_COSTS])
         solved.append((ScenarioResult(spec.id, True, policy, cost, mode if spec.modes is None else None),
                        found_a, found_i))
     return solved

@@ -153,20 +153,11 @@ def simulate(cfg: SimConfig) -> SimResult:
     ends = np.append(starts[1:], arr[-1] + 1.0 / cfg.lam)
     util_means = s.sum(axis=1) / (cfg.n * (ends - starts))
 
-    def se(x: np.ndarray) -> float:
-        return float(x.std(ddof=1) / np.sqrt(N_BATCHES))
-
-    return SimResult(
-        mean_wait=float(wait_means.mean()),
-        wait_stderr=se(wait_means),
-        mean_system_time=float(sys_means.mean()),
-        system_time_stderr=se(sys_means),
-        utilization=float(util_means.mean()),
-        utilization_stderr=se(util_means),
-        error_rate=float(err_means.mean()),
-        error_rate_stderr=se(err_means),
-        customers_counted=keep,
-    )
+    # Each batch-means estimate and its standard error, in SimResult's field order.
+    estimates = []
+    for means in (wait_means, sys_means, util_means, err_means):
+        estimates += float(means.mean()), float(means.std(ddof=1) / np.sqrt(N_BATCHES))
+    return SimResult(*estimates, customers_counted=keep)
 
 
 @record

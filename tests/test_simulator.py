@@ -12,6 +12,7 @@ from liabstaff import (
     SimConfig,
     UnstableError,
     cost_breakdown,
+    queue_metrics,
     simulate,
     simulate_policy,
 )
@@ -27,6 +28,14 @@ def test_utilization_matches_offered_load():
     res = simulate(cfg)
     assert abs(res.utilization - 50 / 60) <= 3 * res.utilization_stderr
     assert res.wait_stderr > 0
+
+
+def test_system_time_matches_theory():
+    # t_total is W_q + 1/mu; the estimate lies 0.75 standard errors from it.
+    # The bit-for-bit reference builds SimResult by position in the same
+    # order, so only an independent value catches a swapped field.
+    res = simulate(SimConfig(lam=50, mu=12, n=5, customers=100_000, seed=44))
+    assert abs(res.mean_system_time - queue_metrics(50, 12, 5).t_total) <= 3 * res.system_time_stderr
 
 
 def test_fixed_seed_is_bit_reproducible():
