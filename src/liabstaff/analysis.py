@@ -14,10 +14,10 @@ import sys
 from ._record import record
 from .errors import ParameterError
 from .params import FIELD_BY_NAME, Mode, ModelParams, validate
-from .physician import _indifference_share, _theta_d, physician_utility
+from .physician import _indifference_share, _mode_split, _theta_d, physician_utility
 from .platform_opt import optimize_regime
 from .queueing import erlang_c, min_staffing
-from .scenario import ScenarioSpec, _intervals, optimize_platform, optimize_social
+from .scenario import optimize_platform, optimize_social
 
 # The outside names of the parameters that sensitivity sweeps may vary.
 SWEEPABLE = ("big_l", "c_n", "c_w", "kappa", "lambda", "q")
@@ -259,7 +259,7 @@ def _figure_table(which: str, p: ModelParams, npoints: int, criterion: str) -> t
                 n_a = min_staffing(pl.lam, pl.mu_a)
                 n_i = min_staffing(pl.lam, pl.mu_i)
             elif criterion == "cost-optimal":
-                (a_lo, a_hi), (i_lo, i_hi) = _intervals(ScenarioSpec(""), _theta_d(pl))
+                (a_lo, a_hi), (i_lo, i_hi) = _mode_split(0.0, 1.0, _theta_d(pl))
                 n_a = optimize_regime(Mode.A, a_lo, a_hi, pl).best.n
                 n_i = optimize_regime(Mode.I, min(i_lo, 1.0), i_hi, pl).best.n
             else:

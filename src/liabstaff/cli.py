@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain errors (infeasible constraint sets, unstable
-queues), 2 usage and config-parse errors. All currency output is dollars per
-hour unless --thousands is given.
+queues) and a stdout closed by its reader, 2 usage and config-parse errors.
+All currency output is dollars per hour unless --thousands is given.
 """
 
 from __future__ import annotations
@@ -434,11 +434,21 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args, p = _parse(argv)
-        return args.func(args, p)
-    except (InfeasibleError, ParameterError, UnstableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ParameterError) else 1
+        try:
+            args, p = _parse(argv)
+            status = args.func(args, p)
+        except (InfeasibleError, ParameterError, UnstableError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2 if isinstance(exc, ParameterError) else 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point fd 1 at the null device, so that the
+        # interpreter's own flush at exit writes nowhere instead of failing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -163,10 +163,11 @@ def parse_config(text: str) -> ModelParams:
 
 
 def _read(path: str | Path, what: str) -> str:
-    """An input file's text; a missing, unreadable or non-UTF-8 file raises
-    ParameterError naming it."""
+    """An input file's text, without the UTF-8 byte-order mark it may start
+    with; a missing, unreadable or non-UTF-8 file raises ParameterError naming
+    it, at the file's own byte offset."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise ParameterError(f"{what} not found: {path}") from None
     except OSError as exc:

@@ -5,6 +5,10 @@ from __future__ import annotations
 from ._record import record
 from .params import Mode, ModelParams, mode_attrs
 
+# The shares that induce Mode I, (theta_d, hi], are open at the threshold,
+# where best_response picks Mode A; the search closes them at this offset.
+REGIME_I_EPS = 1e-6
+
 
 @record
 class ThresholdReport:
@@ -60,3 +64,9 @@ def best_response(theta: float, p: ModelParams) -> Mode:
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     return Mode.A if theta <= _theta_d(p) else Mode.I
+
+
+def _mode_split(theta_lo: float, theta_hi: float, theta_d: float) -> tuple[tuple, tuple]:
+    """The shares of [theta_lo, theta_hi] that induce Mode A and Mode I at
+    threshold theta_d, as best_response picks them; either may be empty."""
+    return (theta_lo, min(theta_hi, theta_d)), (max(theta_lo, theta_d + REGIME_I_EPS), theta_hi)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from ._record import record
 from .errors import InfeasibleError, ParameterError
 from .params import Mode, ModelParams
-from .physician import _theta_d
+from .physician import _mode_split, _theta_d
 from .platform_opt import _COSTS, _N, _THETA, _TOTAL, CostBreakdown, PlatformSolution, Policy, _regime_result, _search
 
 # Not called here; it stays importable from this module because the
@@ -40,10 +40,6 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_THETA_FLOOR = 0.3
 
 S0_THETA = 0.5
-
-# Lowest liability share that still induces independent mode; the regime-I
-# interval is open at the threshold, so it is closed at this offset.
-REGIME_I_EPS = 1e-6
 
 # The share interval of a mode a spec does not search: empty, so _search
 # returns None for it and walks no level on its account.
@@ -95,35 +91,29 @@ def make_scenario(
     raise ParameterError(f"unknown scenario {scenario_id!r}; valid: {', '.join(SCENARIO_IDS)}")
 
 
-def _intervals(spec: ScenarioSpec, theta_d: float | None) -> tuple[tuple, tuple]:
-    """The share intervals the spec searches in Mode A and in Mode I: its own
-    interval in each listed mode and _NOT_SEARCHED in any other, else the
-    shares of it that induce each mode at threshold theta_d, which is read
-    only when spec.modes is None; either may be empty. Raises ParameterError
-    for a spec whose modes is None unless 0 <= theta_lo <= theta_hi <= 1."""
-    lo, hi = spec.theta_lo, spec.theta_hi
-    if spec.modes is not None:
-        return ((lo, hi) if Mode.A in spec.modes else _NOT_SEARCHED,
-                (lo, hi) if Mode.I in spec.modes else _NOT_SEARCHED)
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{lo!r}, {hi!r}]")
-    return (lo, min(hi, theta_d)), (max(lo, theta_d + REGIME_I_EPS), hi)
-
-
 def _solve(specs: list[ScenarioSpec], p: ModelParams) -> list[tuple[ScenarioResult, tuple | None, tuple | None]]:
     """Per spec, (result, found_a, found_i): each mode's search tuple on plain
     floats, None when the spec's interval in the mode is empty, _NOT_SEARCHED
-    included, and the ScenarioResult built here from the one that found the
-    lower total, Mode A on a tie and only on a tie (a NaN total goes to Mode
-    I), or an infeasible one whose reason names the empty constraint set. One
-    kernel call per mode searches one interval per spec, and a mode whose
-    intervals are all empty is not walked. Raises ParameterError, from
-    _intervals and before any search, unless 0 <= theta_lo <= theta_hi <= 1
-    for each spec whose modes is None, and, from _search, for a listed-mode
-    spec whose interval is neither empty nor within [0, 1]."""
-    theta_d = _theta_d(p) if any(s.modes is None for s in specs) else None
-    wanted_a, wanted_i = zip(*[_intervals(s, theta_d) for s in specs])
+    included, and the ScenarioResult built from the one with the lower total,
+    Mode A on a tie and only on a tie (a NaN total goes to Mode I), or an
+    infeasible one whose reason names the empty constraint set. One kernel call
+    per mode searches one interval per spec, and a mode whose intervals are all
+    empty is not walked. Raises ParameterError, before any search, unless
+    0 <= theta_lo <= theta_hi <= 1 for each spec whose modes is None, and, from
+    _search, for a listed-mode spec whose interval is neither empty nor in [0, 1]."""
     mode_a, mode_i = Mode.A, Mode.I  # each read once: an Enum member lookup is slow
+    theta_d, wanted = None, []
+    for spec in specs:
+        lo, hi = spec.theta_lo, spec.theta_hi
+        if spec.modes is None:
+            theta_d = _theta_d(p) if theta_d is None else theta_d
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ParameterError(f"need 0 <= theta_lo <= theta_hi <= 1, got [{lo!r}, {hi!r}]")
+            wanted.append(_mode_split(lo, hi, theta_d))
+        else:
+            wanted.append(((lo, hi) if mode_a in spec.modes else _NOT_SEARCHED,
+                           (lo, hi) if mode_i in spec.modes else _NOT_SEARCHED))
+    wanted_a, wanted_i = zip(*wanted)
     solved = []
     for spec, found_a, found_i in zip(specs, _search(mode_a, wanted_a, p), _search(mode_i, wanted_i, p)):
         if found_a is not None and (found_i is None or found_a[_TOTAL] <= found_i[_TOTAL]):
@@ -153,9 +143,9 @@ def optimize_platform(
 ) -> PlatformSolution:
     """Solve both regimes on their induced-mode intervals and pick the winner.
 
-    Regime A is searched on [theta_lo, min(theta_hi, theta_d)], Regime I on
-    [max(theta_lo, theta_d + REGIME_I_EPS), theta_hi]; ties go to Regime A.
-    Raises InfeasibleError when both intervals are empty. This is S1's path.
+    Each regime is searched on the shares of [theta_lo, theta_hi] that induce
+    its mode (physician._mode_split); ties go to Regime A. Raises
+    InfeasibleError when both intervals are empty. This is S1's path.
     """
     ((result, found_a, found_i),) = _solve([ScenarioSpec("", theta_lo, theta_hi)], p)
     if not result.feasible:

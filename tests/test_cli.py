@@ -4,6 +4,7 @@ import heapq
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -67,12 +68,32 @@ def test_entry_point_exits_with_main_code():
     assert run_fresh("frobnicate").returncode == 2
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_word(unbuffered):
+    # the reader closes the pipe before the command writes: block-buffered,
+    # the write fails at the final flush, unbuffered at the first print
+    env = {key: value for key, value in os.environ.items()
+           if key not in (cli.CONFIG_ENV_VAR, "PYTHONUNBUFFERED")}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["solve"], ["sweep", "--grid", "q=0.8:0.94:15"]):
+        with subprocess.Popen([sys.executable, "-m", "liabstaff", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b""), argv
+
+
 def test_solve_with_config(tmp_path: Path):
     cfg = tmp_path / "high_loss.cfg"
     cfg.write_text("big_l = 5000\n")
     cp = run_cli("solve", "--config", str(cfg))
     assert cp.returncode == 0
     assert "winner: Regime I" in cp.stdout
+    # a UTF-8 byte-order mark is read as if it were absent
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert run_cli("solve", "--config", str(marked)).stdout == cp.stdout
 
 
 def test_solve_missing_config_names_path(tmp_path: Path):
@@ -85,6 +106,11 @@ def test_solve_missing_config_names_path(tmp_path: Path):
         assert path in cp.stderr
     assert run_cli("solve", "--config", "/nonexistent/params.cfg").stderr == (
         "error: config file not found: /nonexistent/params.cfg\n"
+    )
+    # a bad byte is named at its offset in the file, a byte-order mark included
+    binary.write_bytes(b"\xef\xbb\xbf" + binary.read_bytes())
+    assert run_cli("solve", "--config", str(binary)).stderr == (
+        f"error: config file {binary} is not UTF-8: invalid start byte at byte 16\n"
     )
 
 
@@ -852,7 +878,13 @@ def test_rerun_reproduces_csv(tmp_path: Path, argv):
     assert run_cli(*argv, "--out", str(out)).returncode == 0
     original = out.read_bytes()
     out.unlink()
-    assert run_cli("rerun", "--manifest", str(out) + ".manifest.json").returncode == 0
+    manifest = Path(str(out) + ".manifest.json")
+    assert run_cli("rerun", "--manifest", str(manifest)).returncode == 0
+    assert out.read_bytes() == original
+    # a manifest that starts with a UTF-8 byte-order mark reruns the same
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    out.unlink()
+    assert run_cli("rerun", "--manifest", str(manifest)).returncode == 0
     assert out.read_bytes() == original
 
 

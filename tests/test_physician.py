@@ -12,6 +12,7 @@ from liabstaff import (
     threshold,
     validate,
 )
+from liabstaff.physician import REGIME_I_EPS, _mode_split
 
 from oracles import random_valid_params
 
@@ -94,3 +95,24 @@ def test_large_threshold_means_mode_a_everywhere():
     assert threshold(p).theta_d > 1.0
     for theta in np.linspace(0.0, 1.0, 101):
         assert best_response(float(theta), p) is Mode.A
+
+
+def test_mode_split_agrees_with_best_response():
+    # the split of [0, 1] and of a seeded subinterval: every share in the
+    # Mode A interval, theta_d included, gets Mode A; every share in the
+    # Mode I interval, theta_d + REGIME_I_EPS included, gets Mode I
+    rng = np.random.default_rng(33)
+    for p in [BASELINE] + [random_valid_params(rng) for _ in range(40)]:
+        theta_d = threshold(p).theta_d
+        lo, hi = sorted(float(x) for x in rng.uniform(0.0, 1.0, 2))
+        for lo, hi in ((0.0, 1.0), (lo, hi)):
+            (a_lo, a_hi), (i_lo, i_hi) = _mode_split(lo, hi, theta_d)
+            assert (a_lo, i_hi) == (lo, hi)
+            assert a_hi == min(hi, theta_d) and i_lo == max(lo, theta_d + REGIME_I_EPS)
+            for mode, (s_lo, s_hi), edge in ((Mode.A, (a_lo, a_hi), theta_d),
+                                             (Mode.I, (i_lo, i_hi), theta_d + REGIME_I_EPS)):
+                shares = [s_lo, s_hi, *(float(x) for x in rng.uniform(s_lo, s_hi, 5))] if s_lo <= s_hi else []
+                if edge <= 1.0:
+                    shares.append(edge)
+                for theta in shares:
+                    assert best_response(theta, p) is mode, (p, theta)

@@ -30,8 +30,8 @@ from liabstaff import (
 )
 from liabstaff import platform_opt
 from liabstaff.platform_opt import _cost, _regime_result, _search
+from liabstaff.physician import REGIME_I_EPS
 from liabstaff.queueing import MAX_OFFERED_LOAD
-from liabstaff.scenario import REGIME_I_EPS
 
 from oracles import (
     brute_force_platform,

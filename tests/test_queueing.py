@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liabstaff import ParameterError, UnstableError, erlang_c, min_staffing, queue_metrics
-from liabstaff.queueing import _RHO_CEILING, MAX_OFFERED_LOAD, _delay_probs
+from liabstaff.queueing import _RHO_CEILING, MAX_OFFERED_LOAD, _delay_probs, _first_stable
 
 from oracles import erlang_c_direct
 
@@ -63,6 +64,34 @@ def test_erlang_c_equals_full_walk_past_underflow():
             underflowed += full == 0.0
     assert underflowed > 300
     assert erlang_c(10**9, 1.0) == 0.0  # about 180 steps, not 10**9
+
+
+def _erlang_c_exact(n: int, a: Fraction) -> Fraction:
+    """Erlang C at level n from the Erlang B recurrence in exact arithmetic."""
+    b = Fraction(1)
+    for k in range(1, n + 1):
+        b = a * b / (k + a * b)
+    return b / (1 - a / n * (1 - b))
+
+
+def test_erlang_c_and_wait_within_1e13_of_exact():
+    # seeded offered loads a <= 100, each exact at the float the program
+    # receives, at levels from the first stable one to about a + 3 sqrt(a) + 5;
+    # a power-of-two mu makes lam = a mu and N mu exact floats, so W_q adds
+    # only the rounding of N mu - lam and of the division
+    rng = np.random.default_rng(10)
+    pairs = 0
+    for _ in range(8):
+        a = float(rng.uniform(0.01, 100.0))
+        mu = float(2.0 ** rng.integers(-2, 3))
+        first, last = _first_stable(a), math.floor(a + 3.0 * math.sqrt(a) + 5.0)
+        for n in sorted({first, last, *(int(k) for k in rng.integers(first, last + 1, 3))}):
+            exact = _erlang_c_exact(n, Fraction(a))
+            wait = exact / (n * Fraction(mu) - Fraction(a * mu))
+            assert abs(Fraction(erlang_c(n, a)) - exact) <= Fraction(1e-13) * exact, (n, a)
+            assert abs(Fraction(queue_metrics(a * mu, mu, n).w_q) - wait) <= Fraction(1e-13) * wait, (n, a, mu)
+            pairs += 1
+    assert pairs >= 35
 
 
 def test_unstable_load_rejected():

@@ -16,9 +16,9 @@ from liabstaff import (
     make_scenario,
     run_scenario,
 )
-from liabstaff.physician import threshold
+from liabstaff.physician import REGIME_I_EPS, threshold
 from liabstaff import scenario
-from liabstaff.scenario import REGIME_I_EPS, SCENARIO_IDS, optimize_platform, optimize_social
+from liabstaff.scenario import SCENARIO_IDS, optimize_platform, optimize_social
 
 from oracles import (
     brute_force_platform,
